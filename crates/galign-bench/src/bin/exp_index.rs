@@ -15,7 +15,7 @@
 
 use galign_bench::harness::{fmt4, mean, render_table, CommonArgs, ExperimentOutput};
 use galign_serve::artifact::{Artifact, Mat};
-use galign_serve::topk::{Backend, EngineMode, TopkIndex};
+use galign_serve::topk::{Backend, EngineMode, Hit, Plan, QuantMode, RowQuery, TopkIndex};
 use galign_telemetry::json::Json;
 use std::time::Instant;
 
@@ -86,6 +86,15 @@ struct Cell {
     evals_mean: f64,
 }
 
+/// Hits of one query under `plan` (a batch of one).
+fn query(index: &TopkIndex, node: usize, plan: Plan) -> Vec<Hit> {
+    index
+        .topk(&[RowQuery { node, k: K }], None, plan)
+        .expect("valid query")
+        .remove(0)
+        .0
+}
+
 /// Builds `backend` over the fixture and measures one sweep cell.
 fn run_cell(artifact: &Artifact, backend: Backend, queries: usize) -> Cell {
     let mut index = TopkIndex::from_artifact(artifact.clone());
@@ -100,9 +109,7 @@ fn run_cell(artifact: &Artifact, backend: Backend, queries: usize) -> Cell {
     let exact: Vec<Vec<usize>> = nodes
         .iter()
         .map(|&v| {
-            index
-                .topk(v, K, None)
-                .expect("valid query")
+            query(&index, v, Plan::EXACT)
                 .iter()
                 .map(|h| h.target)
                 .collect()
@@ -111,18 +118,11 @@ fn run_cell(artifact: &Artifact, backend: Backend, queries: usize) -> Cell {
     let exact_us = t0.elapsed().as_secs_f64() * 1e6 / queries as f64;
 
     let evals_before = galign_telemetry::counter_value("index.search.distance_evals");
+    let plan = index.plan(EngineMode::Ann, QuantMode::Off);
     let t0 = Instant::now();
     let ann: Vec<Vec<usize>> = nodes
         .iter()
-        .map(|&v| {
-            index
-                .topk_with_mode(v, K, None, EngineMode::Ann)
-                .expect("valid query")
-                .0
-                .iter()
-                .map(|h| h.target)
-                .collect()
-        })
+        .map(|&v| query(&index, v, plan).iter().map(|h| h.target).collect())
         .collect();
     let ann_us = t0.elapsed().as_secs_f64() * 1e6 / queries as f64;
     let evals = galign_telemetry::counter_value("index.search.distance_evals") - evals_before;

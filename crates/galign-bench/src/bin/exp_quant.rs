@@ -17,7 +17,7 @@
 
 use galign_bench::harness::{fmt4, render_table, CommonArgs, ExperimentOutput};
 use galign_serve::artifact::{Artifact, Mat};
-use galign_serve::topk::{Backend, EngineMode, QuantMode, TopkIndex};
+use galign_serve::topk::{Backend, EngineMode, Hit, Plan, QuantMode, RowQuery, TopkIndex};
 use galign_telemetry::json::Json;
 use std::time::Instant;
 
@@ -94,6 +94,15 @@ struct Cell {
     recall10: f64,
 }
 
+/// Hits of one query under `plan` (a batch of one).
+fn query(index: &TopkIndex, node: usize, plan: Plan) -> Vec<Hit> {
+    index
+        .topk(&[RowQuery { node, k: K }], None, plan)
+        .expect("valid query")
+        .remove(0)
+        .0
+}
+
 /// Measures one (fixture, encoding) cell on a quant-primary artifact:
 /// written size, both exact-scan latencies (asserting bit-identity per
 /// query), shortlist survival, and quantized-traversal ANN recall.
@@ -115,14 +124,13 @@ fn run_cell(artifact: &Artifact, quant: QuantMode, f64_bytes: u64, queries: usiz
     let n = index.target_nodes();
     let nodes: Vec<usize> = (0..queries).map(|q| q * (n / queries).max(1) % n).collect();
 
+    let quant_plan = index.plan(EngineMode::Exact, quant);
+    let ann_plan = index.plan(EngineMode::Ann, quant);
     let t0 = Instant::now();
     let plain: Vec<Vec<(usize, u64)>> = nodes
         .iter()
         .map(|&v| {
-            index
-                .topk_with_opts(v, K, None, EngineMode::Exact, QuantMode::Off)
-                .expect("valid query")
-                .0
+            query(&index, v, Plan::EXACT)
                 .iter()
                 .map(|h| (h.target, h.score.to_bits()))
                 .collect()
@@ -136,10 +144,7 @@ fn run_cell(artifact: &Artifact, quant: QuantMode, f64_bytes: u64, queries: usiz
     let shortlisted: Vec<Vec<(usize, u64)>> = nodes
         .iter()
         .map(|&v| {
-            index
-                .topk_with_opts(v, K, None, EngineMode::Exact, quant)
-                .expect("valid query")
-                .0
+            query(&index, v, quant_plan)
                 .iter()
                 .map(|h| (h.target, h.score.to_bits()))
                 .collect()
@@ -156,16 +161,11 @@ fn run_cell(artifact: &Artifact, quant: QuantMode, f64_bytes: u64, queries: usiz
 
     let mut r10 = Vec::new();
     for &v in &nodes {
-        let truth: Vec<usize> = index
-            .topk(v, K, None)
-            .expect("valid query")
+        let truth: Vec<usize> = query(&index, v, Plan::EXACT)
             .iter()
             .map(|h| h.target)
             .collect();
-        let got = index
-            .topk_with_opts(v, K, None, EngineMode::Ann, quant)
-            .expect("valid query")
-            .0;
+        let got = query(&index, v, ann_plan);
         let hit = truth
             .iter()
             .filter(|t| got.iter().any(|h| h.target == **t))

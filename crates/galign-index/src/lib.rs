@@ -67,24 +67,6 @@ pub struct Candidate {
     pub approx: f64,
 }
 
-/// Sorted, deduplicated union of several queries' candidate id sets — the
-/// shared-candidate gather set of a coalesced multi-query re-rank: the
-/// serving tier batches concurrent ANN queries, gathers the union's target
-/// rows once into a contiguous block, and re-ranks every query against its
-/// own candidates inside that block. Ascending order is load-bearing: the
-/// exact re-rank walks candidates in ascending target-id order so the
-/// `select_topk` tie contract maps straight back to target ids.
-#[must_use]
-pub fn union_candidate_ids(per_query: &[Vec<Candidate>]) -> Vec<usize> {
-    let mut ids: Vec<usize> = per_query
-        .iter()
-        .flat_map(|cands| cands.iter().map(|c| c.id))
-        .collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids
-}
-
 /// Per-query search accounting. `distance_evals` is the sublinearity
 /// contract: an exact scan costs exactly `n` evaluations, so a mean well
 /// below `n` *is* the speedup.

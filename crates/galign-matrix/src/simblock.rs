@@ -259,31 +259,6 @@ impl<'a> SimPanel<'a> {
         self.validate_quant(quant)?;
         Ok(self.topk_row_quantized_validated(quant, v, k))
     }
-
-    /// Quantized-first-pass top-k for an arbitrary set of source rows —
-    /// the serving batch shape, parallel across the queried rows like
-    /// [`topk_rows`]. Bit-identical to the exact per-row scan; the
-    /// caller's trace context is carried into the worker threads.
-    ///
-    /// # Errors
-    /// [`MatrixError::InvalidInput`] when the quantized panel's shape does
-    /// not match the target panel.
-    pub fn topk_rows_quantized(
-        &self,
-        quant: &QuantizedPanel,
-        rows: &[usize],
-        k: usize,
-    ) -> Result<Vec<Vec<Hit>>> {
-        self.validate_quant(quant)?;
-        let trace = galign_telemetry::PropagationHandle::capture();
-        let workers = par::workers(rows.len() * self.num_targets() * quant.dim());
-        Ok(par::map(rows.len(), workers, |i| {
-            trace.scope(|| {
-                galign_telemetry::context::annotate("rows_scored", 1);
-                self.topk_row_quantized_validated(quant, rows[i], k)
-            })
-        }))
-    }
 }
 
 impl ScoreProvider for SimPanel<'_> {
@@ -489,11 +464,11 @@ impl PartialOrd for Entry {
 /// Results are sorted by **descending score**; equal scores order by
 /// **ascending target id**. This tie-break is part of the public
 /// contract, not an implementation accident: every consumer that must
-/// agree with the exact engine result-for-result — `topk_rows` batches,
-/// the serving cache, and the ANN engine's exact re-rank (which feeds a
-/// candidate subset back through this function) — relies on equal-score
-/// results coming back in one canonical order. `total_cmp` extends the
-/// order to NaN scores, so selection is total on any input.
+/// agree with the exact engine result-for-result — gathered serving
+/// batches, the serving cache, and the ANN engine's exact re-rank (which
+/// feeds a candidate subset back through this function) — relies on
+/// equal-score results coming back in one canonical order. `total_cmp`
+/// extends the order to NaN scores, so selection is total on any input.
 #[must_use]
 pub fn select_topk(scores: &[f64], k: usize) -> Vec<Hit> {
     let k = k.min(scores.len());
@@ -610,23 +585,6 @@ pub fn topk(provider: &dyn ScoreProvider, k: usize) -> Vec<Vec<Hit>> {
     .collect()
 }
 
-/// Top-k for an arbitrary (possibly repeated, unordered) set of source
-/// rows — the serving batch shape. Parallel across the queried rows.
-///
-/// The caller's trace context (if any) is explicitly carried into the
-/// worker threads, so per-row `rows_scored` annotations land on the
-/// request's trace even though thread-locals do not cross threads.
-pub fn topk_rows(provider: &dyn ScoreProvider, rows: &[usize], k: usize) -> Vec<Vec<Hit>> {
-    let trace = galign_telemetry::PropagationHandle::capture();
-    let workers = par::workers(rows.len() * provider.num_targets());
-    par::map(rows.len(), workers, |i| {
-        trace.scope(|| {
-            galign_telemetry::context::annotate("rows_scored", 1);
-            select_topk(&provider.score_row(rows[i]), k)
-        })
-    })
-}
-
 /// Fused top-k over **every** provider row with a per-row `k` — the
 /// coalesced serving-batch reduction: one query-block × target-panel GEMM
 /// sweep ([`map_blocks`], parallel across blocks) followed by
@@ -710,8 +668,8 @@ pub fn column_argmax(provider: &dyn ScoreProvider) -> Vec<(usize, f64)> {
 }
 
 /// Materialises the full matrix through the blocked engine — `O(n₁ n₂)`
-/// memory by definition; kept for tests, tooling and the deprecated
-/// `AlignmentMatrix::materialize` shim.
+/// memory by definition; for tests, tooling and the few consumers that
+/// genuinely need the dense matrix.
 pub fn materialize(provider: &dyn ScoreProvider) -> Dense {
     let (n1, n2) = (provider.num_sources(), provider.num_targets());
     if n1 == 0 || n2 == 0 {
@@ -876,16 +834,6 @@ mod tests {
                     let fast = panel.topk_row_quantized(&quant, v, k).unwrap();
                     assert_hits_bitwise(&exact, &fast, &format!("{} k={k} v={v}", mode.name()));
                 }
-                let rows = [0usize, 5, 5, 22];
-                let batch = panel.topk_rows_quantized(&quant, &rows, k).unwrap();
-                for (&v, hits) in rows.iter().zip(&batch) {
-                    let exact = select_topk(&panel.score_row(v), k);
-                    assert_hits_bitwise(
-                        &exact,
-                        hits,
-                        &format!("{} batch k={k} v={v}", mode.name()),
-                    );
-                }
             }
         }
     }
@@ -932,7 +880,6 @@ mod tests {
         // A panel over only the first layer has the wrong dim.
         let short = quant_panel(&target[..1], galign_quant::QuantMode::Int8);
         assert!(panel.topk_row_quantized(&short, 0, 3).is_err());
-        assert!(panel.topk_rows_quantized(&short, &[0, 1], 3).is_err());
     }
 
     #[test]
@@ -1005,17 +952,6 @@ mod tests {
         assert_eq!(best[0].0, 0);
         assert_eq!(best[1].0, 0);
         assert!((best[0].1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn topk_rows_matches_per_row_selection() {
-        let (source, target, theta) = panel_case(4);
-        let panel = SimPanel::new(&source, &target, &theta).unwrap();
-        let rows = [3usize, 3, 0, 22];
-        let batch = topk_rows(&panel, &rows, 4);
-        for (i, &v) in rows.iter().enumerate() {
-            assert_eq!(batch[i], select_topk(&panel.score_row(v), 4));
-        }
     }
 
     #[test]

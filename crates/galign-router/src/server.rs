@@ -536,7 +536,7 @@ fn route(
         }
         ("POST", "/v2/align/topk") => {
             galign_telemetry::counter_add("router.route.topk_v2", 1);
-            topk_batch_route(inner, clients, &request.body, deadline)
+            topk_v2_route(inner, clients, &request.body, deadline)
         }
         ("GET", "/healthz") => {
             galign_telemetry::counter_add("router.route.healthz", 1);
@@ -613,7 +613,7 @@ fn topk_route(
     }
 }
 
-fn topk_batch_route(
+fn topk_v2_route(
     inner: &Inner,
     clients: &[Vec<Arc<Mutex<Client>>>],
     body: &[u8],

@@ -17,7 +17,7 @@ use galign_router::topology::Topology;
 use galign_serve::artifact::{Artifact, Mat};
 use galign_serve::client::ClientConfig;
 use galign_serve::json;
-use galign_serve::server::{ServeConfig, Server, ServerHandle};
+use galign_serve::server::{Server, ServerConfig, ServerHandle};
 use galign_serve::topk::TopkIndex;
 use galign_telemetry::failpoint::{self, Scenario};
 use std::io::{Read, Write};
@@ -51,11 +51,11 @@ fn fixture() -> Artifact {
     Artifact::new(vec![1.0], vec![source], vec![target], false).unwrap()
 }
 
-fn serve_cfg() -> ServeConfig {
-    ServeConfig {
+fn serve_cfg() -> ServerConfig {
+    ServerConfig {
         workers: 2,
         request_timeout: Duration::from_secs(5),
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     }
 }
 

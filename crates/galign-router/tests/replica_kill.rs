@@ -14,7 +14,7 @@ use galign_router::topology::Topology;
 use galign_serve::artifact::{Artifact, Mat};
 use galign_serve::client::ClientConfig;
 use galign_serve::json;
-use galign_serve::server::{ServeConfig, Server, ServerHandle};
+use galign_serve::server::{Server, ServerConfig, ServerHandle};
 use galign_serve::topk::TopkIndex;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -48,11 +48,11 @@ fn fixture() -> Artifact {
     Artifact::new(vec![1.0], vec![source], vec![target], false).unwrap()
 }
 
-fn serve_cfg() -> ServeConfig {
-    ServeConfig {
+fn serve_cfg() -> ServerConfig {
+    ServerConfig {
         workers: 2,
         request_timeout: Duration::from_secs(5),
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     }
 }
 
@@ -255,6 +255,49 @@ fn losing_every_replica_of_a_shard_degrades_loudly() {
         Some("degraded"),
         "{health}"
     );
+
+    router.shutdown().expect("router shutdown");
+    for row in fleet {
+        for h in row {
+            h.shutdown().expect("shard shutdown");
+        }
+    }
+}
+
+/// A θ override that parses to a non-finite number is the client's error:
+/// the router answers `400` itself and charges no replica, so such a
+/// request — sent more times than the breaker threshold — can neither
+/// open a breaker nor mark a replica unhealthy.
+#[test]
+fn non_finite_theta_is_a_400_without_charging_a_hop() {
+    // The failpoints build runs a global `router.scatter` scenario in this
+    // binary; hold its lock so those hop blackouts cannot hit this test.
+    #[cfg(feature = "failpoints")]
+    let _scenario = galign_telemetry::failpoint::Scenario::setup();
+    let artifact = fixture();
+    let (fleet, groups) = start_fleet(&artifact);
+    let router = start_router(&groups);
+    let addr = router.addr();
+
+    for _ in 0..5 {
+        let (status, body) = send(
+            addr,
+            "POST",
+            "/v1/align/topk",
+            Some(r#"{"nodes":[0],"theta":[1e400]}"#),
+        );
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("finite"), "{body}");
+    }
+    let (status, health) = send(addr, "GET", "/healthz", None);
+    assert_eq!(status, 200);
+    let doc = json::parse(&health).unwrap();
+    assert_eq!(doc.get("status").unwrap().as_str(), Some("ok"), "{health}");
+    for shard in doc.get("shards").unwrap().as_arr().unwrap() {
+        for state in shard.get("breakers").unwrap().as_arr().unwrap() {
+            assert_eq!(state.as_str(), Some("closed"), "{health}");
+        }
+    }
 
     router.shutdown().expect("router shutdown");
     for row in fleet {

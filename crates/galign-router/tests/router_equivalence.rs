@@ -15,8 +15,8 @@ use galign_router::topology::Topology;
 use galign_serve::artifact::{Artifact, Mat};
 use galign_serve::client::ClientConfig;
 use galign_serve::json;
-use galign_serve::server::{ServeConfig, Server, ServerHandle};
-use galign_serve::topk::{Backend, TopkIndex};
+use galign_serve::server::{Server, ServerConfig, ServerHandle};
+use galign_serve::topk::{Backend, Plan, RowQuery, TopkIndex};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -79,11 +79,11 @@ fn tie_heavy_artifact(rows: usize) -> Artifact {
     Artifact::new(vec![1.0], vec![source], vec![target], false).unwrap()
 }
 
-fn serve_cfg() -> ServeConfig {
-    ServeConfig {
+fn serve_cfg() -> ServerConfig {
+    ServerConfig {
         workers: 2,
         request_timeout: Duration::from_secs(5),
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     }
 }
 
@@ -293,8 +293,10 @@ fn routed_ann_hits_carry_exact_score_bits() {
     assert_eq!(results.len(), 7);
     for (node, entry) in results.iter().enumerate() {
         let truth: std::collections::HashMap<usize, f64> = exact
-            .topk(node, 60, None)
+            .topk(&[RowQuery { node, k: 60 }], None, Plan::EXACT)
             .unwrap()
+            .remove(0)
+            .0
             .into_iter()
             .map(|h| (h.target, h.score))
             .collect();

@@ -123,6 +123,17 @@ impl TopkRequest {
                     .collect::<Result<Vec<_>, _>>()?,
             ),
         };
+        // The JSON number grammar admits `1e400`, which parses to +∞; an
+        // infinite weight (or magnitudes summing past f64::MAX) would
+        // score ±∞/NaN and render `"score":null`.
+        if let Some(t) = &theta {
+            if !t.iter().map(|w| w.abs()).sum::<f64>().is_finite() {
+                return Err(
+                    "\"theta\" entries must be finite, and so must the sum of their magnitudes"
+                        .into(),
+                );
+            }
+        }
         let mode = match doc.get("mode") {
             None => defaults.default_mode,
             Some(v) => v
@@ -475,6 +486,9 @@ mod tests {
             (br#"{"nodes":[0],"k":0}"#, "k"),
             (br#"{"nodes":[0],"k":5000}"#, "limit"),
             (br#"{"nodes":[0],"theta":3}"#, "theta"),
+            (br#"{"nodes":[0],"theta":[1e400,0.5]}"#, "finite"),
+            (br#"{"nodes":[0],"theta":[-1e400,0.5]}"#, "finite"),
+            (br#"{"nodes":[0],"theta":[1e308,1e308]}"#, "finite"),
             (br#"{"nodes":[-1]}"#, "non-negative"),
             (br#"{"nodes":[0],"mode":"warp"}"#, "mode"),
             (br#"{"nodes":[0],"quant":"int4"}"#, "quant"),

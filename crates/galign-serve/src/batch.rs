@@ -16,13 +16,16 @@
 //!
 //! ## Bit-identity
 //!
-//! Batched execution is *observably identical* to sequential execution:
-//! [`crate::topk::TopkIndex::topk_gathered_with_opts`] accumulates each
-//! gathered row in the exact floating-point order of the sequential
-//! kernel, ANN candidate searches stay per-query, and `select_topk`'s tie
-//! contract is shared — so a `/v2` batch renders byte-for-byte what N
-//! sequential `/v1` requests would. The property tests in
-//! `tests/batch_api.rs` hold this line.
+//! Batched execution is *observably identical* to sequential execution.
+//! Each request is planned once ([`crate::topk::TopkIndex::plan`]); the
+//! plan keys the cache and the compute group, and every group is answered
+//! by the one scoring call, [`crate::topk::TopkIndex::topk`], for which a
+//! lone request is just a batch of one. That call accumulates each
+//! gathered row in the exact floating-point order of a single-row scan,
+//! keeps ANN candidate searches per query, and shares `select_topk`'s tie
+//! contract — so a `/v2` batch renders byte-for-byte what N sequential
+//! `/v1` requests would. The property tests in `tests/batch_api.rs` hold
+//! this line.
 //!
 //! ## Failure isolation
 //!
@@ -34,7 +37,7 @@
 use crate::api::{self, BatchRequest, NodeResult, RequestDefaults, TopkRequest, TopkResponse};
 use crate::cache::QueryKey;
 use crate::server::{error_body, Generation, Inner, Reply};
-use crate::topk::{EngineMode, EngineUsed, QuantMode, RowQuery};
+use crate::topk::{EngineUsed, Plan, RowQuery};
 use galign_matrix::simblock::Hit;
 use galign_telemetry::context::{self, PropagationHandle};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -193,11 +196,10 @@ impl Coalescer {
 /// awaiting the gathered compute.
 struct Planned {
     request: TopkRequest,
-    ann_routed: bool,
-    /// The scan precision the index will actually use — the request's
-    /// `quant` after the degrade-to-f64 check, so caching and grouping
-    /// key on what gets computed, not what was asked for.
-    quant: QuantMode,
+    /// What the index will actually run — the request's `mode` and
+    /// `quant` resolved against it — so caching and grouping key on what
+    /// gets computed, not what was asked for.
+    plan: Plan,
     /// Per queried node: `Some` = cache hit, `None` = computed this flush.
     slots: Vec<Option<Arc<Vec<Hit>>>>,
     /// Positions into `request.nodes` that missed the cache.
@@ -214,15 +216,13 @@ struct JobPlan {
 }
 
 /// Grouping key for gathered execution: queries are computable together
-/// only when they agree on artifact generation, θ, routing decision, and
-/// effective scan precision.
-type GroupKey = (u64, bool, u8, Option<Vec<u64>>);
+/// only when they agree on artifact generation, plan and θ.
+type GroupKey = (u64, Plan, Option<Vec<u64>>);
 
 struct Group {
     generation: Arc<Generation>,
     theta: Option<Vec<f64>>,
-    ann_routed: bool,
-    quant: QuantMode,
+    plan: Plan,
     /// Deduplicated (node, k) work items.
     queries: Vec<RowQuery>,
     /// (node, k) → index into `queries` / `results`.
@@ -236,7 +236,7 @@ fn theta_key(theta: Option<&[f64]>) -> Option<Vec<u64>> {
 }
 
 /// Executes one flush: parse + cache-lookup per job, one gathered compute
-/// per (generation, θ, engine) group, then per-job serialization. Every
+/// per (generation, plan, θ) group, then per-job serialization. Every
 /// job gets exactly one [`Completion`].
 pub(crate) fn process_jobs(inner: &Inner, jobs: Vec<Job>) -> Vec<Completion> {
     // Failpoint `serve.topk.stall`: a `delay(ms)` action sleeps here,
@@ -260,17 +260,11 @@ pub(crate) fn process_jobs(inner: &Inner, jobs: Vec<Job>) -> Vec<Completion> {
                 continue;
             }
             let theta = planned.request.theta.as_deref();
-            let key = (
-                plan.job.generation.number,
-                planned.ann_routed,
-                planned.quant.tag(),
-                theta_key(theta),
-            );
+            let key = (plan.job.generation.number, planned.plan, theta_key(theta));
             let group = groups.entry(key).or_insert_with(|| Group {
                 generation: Arc::clone(&plan.job.generation),
                 theta: planned.request.theta.clone(),
-                ann_routed: planned.ann_routed,
-                quant: planned.quant,
+                plan: planned.plan,
                 queries: Vec::new(),
                 index_of: HashMap::new(),
                 results: Vec::new(),
@@ -295,15 +289,10 @@ pub(crate) fn process_jobs(inner: &Inner, jobs: Vec<Job>) -> Vec<Completion> {
     // one request, so those spans are per-flush, not per-trace.
     let run_groups = |groups: &mut BTreeMap<GroupKey, Group>| {
         for group in groups.values_mut() {
-            let mode = if group.ann_routed {
-                EngineMode::Ann
-            } else {
-                EngineMode::Exact
-            };
             let computed = group
                 .generation
                 .index
-                .topk_gathered_with_opts(&group.queries, group.theta.as_deref(), mode, group.quant)
+                .topk(&group.queries, group.theta.as_deref(), group.plan)
                 .expect("queries validated before grouping");
             group.results = computed
                 .into_iter()
@@ -326,7 +315,7 @@ pub(crate) fn process_jobs(inner: &Inner, jobs: Vec<Job>) -> Vec<Completion> {
         .collect()
 }
 
-/// Deadline check + parse + engine selection + cache lookup for one job,
+/// Deadline check + parse + planning + cache lookup for one job,
 /// under its trace context.
 fn plan_job(inner: &Inner, job: Job) -> JobPlan {
     let deadline_reply = |job: Job| {
@@ -389,32 +378,34 @@ fn plan_job(inner: &Inner, job: Job) -> JobPlan {
             .map(|parse_outcome| {
                 let request = parse_outcome?;
                 // Validate up front (same errors, same wording as the
-                // sequential path) so grouped compute can never fail.
+                // scoring call) so grouped compute can never fail.
+                let rows: Vec<RowQuery> = request
+                    .nodes
+                    .iter()
+                    .map(|&node| RowQuery { node, k: request.k })
+                    .collect();
                 index
-                    .validate(&request.nodes, request.k, request.theta.as_deref())
+                    .validate(&rows, request.theta.as_deref())
                     .map_err(|e| e.to_string())?;
-                // The routing decision is deterministic per query (mode +
-                // index presence + auto threshold) and keys the cache:
-                // ANN and exact results must never alias each other.
+                // The plan is deterministic per query (mode + quant + what
+                // the index holds) and keys the cache: ANN and exact
+                // results must never alias each other.
                 let st = context::stage("engine_select");
-                let ann_routed = index.would_use_ann(request.mode);
-                let quant = index.effective_quant_mode(request.quant);
-                let engine = if ann_routed { "ann" } else { "exact" };
+                let plan = index.plan(request.mode, request.quant);
                 st.finish_with(vec![
-                    ("engine", engine.to_string()),
-                    ("quant", quant.name().to_string()),
+                    ("engine", plan.engine().name().to_string()),
+                    ("quant", plan.quant.name().to_string()),
                 ]);
                 let st = context::stage("cache_lookup");
                 let mut slots = vec![None; request.nodes.len()];
                 let mut misses = Vec::new();
                 for (i, &node) in request.nodes.iter().enumerate() {
-                    let key = QueryKey::with_quant(
+                    let key = QueryKey::new(
                         node,
                         request.k,
                         request.theta.as_deref(),
-                        ann_routed,
+                        plan,
                         job.generation.number,
-                        quant,
                     );
                     match inner.cache.get(&key) {
                         Some(hits) => slots[i] = Some(hits),
@@ -432,8 +423,7 @@ fn plan_job(inner: &Inner, job: Job) -> JobPlan {
                 any_miss |= !misses.is_empty();
                 Ok(Planned {
                     request,
-                    ann_routed,
-                    quant,
+                    plan,
                     slots,
                     misses,
                 })
@@ -482,43 +472,29 @@ fn finish_job(inner: &Inner, plan: JobPlan, groups: &BTreeMap<GroupKey, Group>) 
             };
             let Planned {
                 request,
-                ann_routed,
-                quant,
+                plan,
                 mut slots,
                 misses,
             } = planned;
             let theta = request.theta.as_deref();
             if !misses.is_empty() {
-                let key = (
-                    job.generation.number,
-                    ann_routed,
-                    quant.tag(),
-                    theta_key(theta),
-                );
+                let key = (job.generation.number, plan, theta_key(theta));
                 let group = groups.get(&key).expect("miss-bearing query has a group");
                 for pos in misses.iter().copied() {
                     let node = request.nodes[pos];
                     let slot = group.index_of[&(node, request.k)];
                     let hits = Arc::clone(&group.results[slot]);
                     inner.cache.insert(
-                        QueryKey::with_quant(
-                            node,
-                            request.k,
-                            theta,
-                            ann_routed,
-                            job.generation.number,
-                            quant,
-                        ),
+                        QueryKey::new(node, request.k, theta, plan, job.generation.number),
                         Arc::clone(&hits),
                     );
                     slots[pos] = Some(hits);
                 }
             }
-            let engine = if ann_routed { "ann" } else { "exact" };
-            if ann_routed {
-                engines_seen.0 = true;
-            } else {
-                engines_seen.1 = true;
+            let engine = plan.engine();
+            match engine {
+                EngineUsed::Ann => engines_seen.0 = true,
+                EngineUsed::Exact => engines_seen.1 = true,
             }
             if metrics {
                 galign_telemetry::counter_add("serve.topk.requests", 1);
@@ -529,10 +505,9 @@ fn finish_job(inner: &Inner, plan: JobPlan, groups: &BTreeMap<GroupKey, Group>) 
                     (request.nodes.len() - misses.len()) as u64,
                 );
                 galign_telemetry::counter_add(
-                    if ann_routed {
-                        "serve.topk.engine.ann"
-                    } else {
-                        "serve.topk.engine.exact"
+                    match engine {
+                        EngineUsed::Ann => "serve.topk.engine.ann",
+                        EngineUsed::Exact => "serve.topk.engine.exact",
                     },
                     1,
                 );
@@ -548,7 +523,7 @@ fn finish_job(inner: &Inner, plan: JobPlan, groups: &BTreeMap<GroupKey, Group>) 
                 .collect();
             outcomes.push(Ok(TopkResponse {
                 k: request.k,
-                engine: engine.to_string(),
+                engine: engine.name().to_string(),
                 partial: false,
                 results,
             }));
@@ -756,6 +731,46 @@ mod tests {
             "{}",
             reply.body
         );
+    }
+
+    #[test]
+    fn non_finite_theta_is_rejected_on_v1_and_v2() {
+        let inner = test_inner_with(ServerConfig::default());
+        for theta in ["[1e400,0.5]", "[1e308,1e308]"] {
+            let v1 = format!(r#"{{"nodes":[0],"theta":{theta}}}"#);
+            let reply = run_single(
+                &inner,
+                &inner.generation(),
+                v1.as_bytes(),
+                Instant::now(),
+                false,
+            );
+            assert_eq!(reply.status, 400, "{}", reply.body);
+            assert!(reply.body.contains("finite"), "{}", reply.body);
+            // On /v2 the bad query errors in its own slot; its sibling
+            // is still answered.
+            let v2 = format!(r#"{{"queries":[{v1},{{"nodes":[0]}}]}}"#);
+            let reply = run_single(
+                &inner,
+                &inner.generation(),
+                v2.as_bytes(),
+                Instant::now(),
+                true,
+            );
+            assert_eq!(reply.status, 200, "{}", reply.body);
+            let doc = json::parse(&reply.body).unwrap();
+            let results = doc.get("results").unwrap().as_arr().unwrap();
+            assert!(
+                results[0]
+                    .get("error")
+                    .and_then(|e| e.as_str())
+                    .is_some_and(|e| e.contains("finite")),
+                "{}",
+                reply.body
+            );
+            assert!(results[1].get("error").is_none(), "{}", reply.body);
+            assert!(!reply.body.contains("null"), "{}", reply.body);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! intrusive doubly-linked list over a slab (`O(1)` get/insert/evict, no
 //! per-operation allocation beyond the inserted value).
 
-use crate::topk::{Hit, QuantMode};
+use crate::topk::{Hit, Plan};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 
 /// Identity of one top-k query. θ is stored as raw `f64` bits: bit-exact
 /// equality (the only safe cache equivalence) and hashability for free.
-/// The engine route is part of the key — ANN answers may legitimately
+/// The batch's [`Plan`] is part of the key — ANN answers may legitimately
 /// differ from exact ones (missed candidates), so the two must never
 /// share cache entries.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -27,67 +27,32 @@ pub struct QueryKey {
     pub k: usize,
     /// θ override as bit patterns; `None` = artifact default.
     pub theta_bits: Option<Vec<u64>>,
-    /// Whether the query routed to the ANN engine (the *decision*, which
-    /// is deterministic per request — not the per-node fallback outcome,
+    /// The request's plan: the engine route (the *decision*, which is
+    /// deterministic per request — not the per-node fallback outcome,
     /// which may serve exact results under an ANN key; those are at least
-    /// as accurate, so sharing that direction is sound).
-    pub ann_engine: bool,
+    /// as accurate, so sharing that direction is sound) and the effective
+    /// scan precision. Exact-engine quantized scans are bit-identical to
+    /// f64 scans, but ANN traversal over quantized rows may visit
+    /// *different candidates* than f64 traversal, so the two must never
+    /// share entries.
+    pub plan: Plan,
     /// Artifact generation the entry was computed against. Hot swaps
     /// clear the cache *and* bump this: a request pinned to the old
     /// generation that finishes after the clear re-inserts under its old
     /// generation and can never poison post-swap lookups.
     pub generation: u64,
-    /// First-pass scan precision the query requested. Exact-engine
-    /// quantized scans are bit-identical to f64 scans, but ANN traversal
-    /// over quantized rows may visit *different candidates* than f64
-    /// traversal, so the two must never share entries.
-    pub quant: QuantMode,
 }
 
 impl QueryKey {
-    /// Builds a key for an exact-engine query.
+    /// Builds the key of one queried node of a planned request.
     #[must_use]
-    pub fn new(node: usize, k: usize, theta: Option<&[f64]>) -> Self {
-        QueryKey::with_engine(node, k, theta, false)
-    }
-
-    /// Builds a key carrying the engine-routing decision.
-    #[must_use]
-    pub fn with_engine(node: usize, k: usize, theta: Option<&[f64]>, ann_engine: bool) -> Self {
-        QueryKey::with_generation(node, k, theta, ann_engine, 0)
-    }
-
-    /// Builds a key carrying the engine decision and the artifact
-    /// generation it was computed against.
-    #[must_use]
-    pub fn with_generation(
-        node: usize,
-        k: usize,
-        theta: Option<&[f64]>,
-        ann_engine: bool,
-        generation: u64,
-    ) -> Self {
-        QueryKey::with_quant(node, k, theta, ann_engine, generation, QuantMode::Off)
-    }
-
-    /// Builds a fully discriminated key, including the requested scan
-    /// precision.
-    #[must_use]
-    pub fn with_quant(
-        node: usize,
-        k: usize,
-        theta: Option<&[f64]>,
-        ann_engine: bool,
-        generation: u64,
-        quant: QuantMode,
-    ) -> Self {
+    pub fn new(node: usize, k: usize, theta: Option<&[f64]>, plan: Plan, generation: u64) -> Self {
         QueryKey {
             node,
             k,
             theta_bits: theta.map(|t| t.iter().map(|v| v.to_bits()).collect()),
-            ann_engine,
+            plan,
             generation,
-            quant,
         }
     }
 }
@@ -335,9 +300,10 @@ impl ShardedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topk::{Backend, QuantMode};
 
     fn key(node: usize) -> QueryKey {
-        QueryKey::new(node, 5, None)
+        QueryKey::new(node, 5, None, Plan::EXACT, 0)
     }
 
     #[test]
@@ -401,33 +367,46 @@ mod tests {
 
     #[test]
     fn theta_is_part_of_the_key_bit_exactly() {
-        let a = QueryKey::new(1, 5, Some(&[0.1, 0.2]));
-        let b = QueryKey::new(1, 5, Some(&[0.1, 0.2]));
-        let c = QueryKey::new(1, 5, Some(&[0.1, 0.2 + 1e-17]));
-        let d = QueryKey::new(1, 5, None);
+        let a = QueryKey::new(1, 5, Some(&[0.1, 0.2]), Plan::EXACT, 0);
+        let b = QueryKey::new(1, 5, Some(&[0.1, 0.2]), Plan::EXACT, 0);
+        let c = QueryKey::new(1, 5, Some(&[0.1, 0.2 + 1e-17]), Plan::EXACT, 0);
+        let d = QueryKey::new(1, 5, None, Plan::EXACT, 0);
         assert_eq!(a, b);
         assert_eq!(c, b, "values below f64 resolution are the same bits");
         assert_ne!(a, d);
-        let e = QueryKey::new(1, 5, Some(&[0.1, 0.25]));
+        let e = QueryKey::new(1, 5, Some(&[0.1, 0.25]), Plan::EXACT, 0);
         assert_ne!(a, e);
     }
 
     #[test]
-    fn engine_route_is_part_of_the_key() {
-        let exact = QueryKey::new(1, 5, None);
-        let ann = QueryKey::with_engine(1, 5, None, true);
-        assert_ne!(exact, ann, "ANN and exact results must never alias");
-        assert_eq!(exact, QueryKey::with_engine(1, 5, None, false));
-    }
-
-    #[test]
-    fn quant_mode_is_part_of_the_key() {
-        let f64_scan = QueryKey::with_quant(1, 5, None, true, 0, QuantMode::Off);
-        let int8 = QueryKey::with_quant(1, 5, None, true, 0, QuantMode::Int8);
-        let f16 = QueryKey::with_quant(1, 5, None, true, 0, QuantMode::F16);
-        assert_ne!(f64_scan, int8);
-        assert_ne!(int8, f16);
-        assert_eq!(f64_scan, QueryKey::with_generation(1, 5, None, true, 0));
+    fn plan_is_part_of_the_key() {
+        let exact = QueryKey::new(1, 5, None, Plan::EXACT, 0);
+        let ann = Plan {
+            ann: Some(Backend::Hnsw),
+            quant: QuantMode::Off,
+        };
+        assert_ne!(
+            exact,
+            QueryKey::new(1, 5, None, ann, 0),
+            "ANN and exact results must never alias"
+        );
+        let int8 = Plan {
+            quant: QuantMode::Int8,
+            ..ann
+        };
+        let f16 = Plan {
+            quant: QuantMode::F16,
+            ..ann
+        };
+        assert_ne!(
+            QueryKey::new(1, 5, None, ann, 0),
+            QueryKey::new(1, 5, None, int8, 0)
+        );
+        assert_ne!(
+            QueryKey::new(1, 5, None, int8, 0),
+            QueryKey::new(1, 5, None, f16, 0)
+        );
+        assert_ne!(exact, QueryKey::new(1, 5, None, Plan::EXACT, 1));
     }
 
     #[test]
@@ -480,7 +459,7 @@ mod tests {
             let c = Arc::clone(&cache);
             handles.push(std::thread::spawn(move || {
                 for i in 0..500 {
-                    let k = QueryKey::new((t * 37 + i) % 64, 5, None);
+                    let k = QueryKey::new((t * 37 + i) % 64, 5, None, Plan::EXACT, 0);
                     if c.get(&k).is_none() {
                         c.insert(k, Arc::new(Vec::new()));
                     }

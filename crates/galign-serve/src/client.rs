@@ -595,10 +595,10 @@ pub fn read_response(reader: &mut impl BufRead) -> io::Result<Response> {
 mod tests {
     use super::*;
     use crate::artifact::{Artifact, Mat};
-    use crate::server::{ServeConfig, Server};
+    use crate::server::{Server, ServerConfig};
     use crate::topk::TopkIndex;
 
-    fn test_server(cfg: ServeConfig) -> crate::server::ServerHandle {
+    fn test_server(cfg: ServerConfig) -> crate::server::ServerHandle {
         let m = Mat::new(3, 2, vec![1.0, 0.0, 0.0, 1.0, 0.7, 0.7]).unwrap();
         let index = TopkIndex::from_artifact(
             Artifact::new(vec![1.0], vec![m.clone()], vec![m], false).unwrap(),
@@ -608,7 +608,7 @@ mod tests {
 
     #[test]
     fn get_and_post_roundtrip() {
-        let handle = test_server(ServeConfig::default());
+        let handle = test_server(ServerConfig::default());
         let client = Client::new(&handle.addr().to_string()).unwrap();
         let health = client.get("/healthz").unwrap();
         assert_eq!(health.status, 200);
@@ -623,7 +623,7 @@ mod tests {
 
     #[test]
     fn trace_id_is_sent_and_echoed() {
-        let handle = test_server(ServeConfig::default());
+        let handle = test_server(ServerConfig::default());
         let client = Client::new(&handle.addr().to_string()).unwrap();
         // Client-generated id comes back in the response header.
         let (resp, _, trace_id) = client
@@ -645,7 +645,7 @@ mod tests {
 
     #[test]
     fn non_retryable_statuses_are_returned_not_retried() {
-        let handle = test_server(ServeConfig::default());
+        let handle = test_server(ServerConfig::default());
         let client = Client::new(&handle.addr().to_string()).unwrap();
         let (resp, stats) = client
             .post_json_with_stats("/v1/align/topk", "not json")
@@ -738,7 +738,7 @@ mod tests {
 
     #[test]
     fn sequential_requests_share_one_socket() {
-        let handle = test_server(ServeConfig::default());
+        let handle = test_server(ServerConfig::default());
         let client = Client::new(&handle.addr().to_string()).unwrap();
         assert_eq!(client.pool_stats(), PoolStats::default());
         for _ in 0..3 {
@@ -756,7 +756,7 @@ mod tests {
 
     #[test]
     fn keep_alive_off_connects_per_request() {
-        let handle = test_server(ServeConfig::default());
+        let handle = test_server(ServerConfig::default());
         let client = Client::with_config(
             &handle.addr().to_string(),
             ClientConfig {
@@ -781,7 +781,7 @@ mod tests {
         // under us. With max_retries: 0 there is no retry budget to hide
         // behind: the client must detect the stale socket on reuse and
         // repair with one fresh connect, invisibly to the caller.
-        let handle = test_server(ServeConfig::default());
+        let handle = test_server(ServerConfig::default());
         let client = Client::with_config(
             &handle.addr().to_string(),
             ClientConfig {

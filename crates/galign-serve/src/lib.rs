@@ -13,20 +13,22 @@
 //!   along for scan acceleration, as the *primary* encoding it replaces
 //!   the f64 blocks entirely (≥3.5× smaller files) and the f64 rows are
 //!   reconstructed deterministically at load;
-//! * [`topk`] — query validation over the *shared* blocked scoring engine
-//!   (`galign_matrix::simblock`): row-normalized dot-product scoring over
-//!   the θ-weighted layers with heap-based partial selection, parallel
-//!   across the queries of a batch. This crate carries no private scoring
-//!   kernel — serving and the batch pipeline score through the same code.
-//!   An optional `galign-index` ANN index (HNSW or IVF over the
-//!   concatenated target rows) makes queries sublinear: requests pick an
-//!   engine per query (`exact | ann | auto`), ANN candidates are exactly
-//!   re-ranked through `select_topk` (so scores stay bit-identical to the
-//!   exact engine's), and low-confidence candidate sets fall back to the
-//!   full scan. When the artifact carries quantized panels, a per-request
-//!   `quant` field (`off | int8 | f16`) routes the first-pass scan over
-//!   them — int8/f16 shortlisting with a certified error margin, then
-//!   exact f64 re-rank, so responses stay byte-identical to f64 scans;
+//! * [`topk`] — one scoring call, [`topk::TopkIndex::topk`], over a
+//!   batch of [`topk::RowQuery`] (a lone query is a batch of one), on the
+//!   *shared* blocked scoring engine (`galign_matrix::simblock`):
+//!   row-normalized dot-product scoring over the θ-weighted layers with
+//!   heap-based partial selection. [`topk::TopkIndex::plan`] decides once
+//!   per batch how it is answered — the exact scan, or ANN candidates from
+//!   an optional `galign-index` HNSW/IVF index over the concatenated
+//!   target rows (requests pick `exact | ann | auto`), crossed with the
+//!   first-pass scan precision (`quant`: `off | int8 | f16`, effective
+//!   when the artifact carries matching panels). The exact engine scores
+//!   the batch in one gathered panel sweep; a quantized scan shortlists
+//!   per query with a certified error margin; ANN searches per query and
+//!   re-ranks the union of candidates exactly, falling back to the full
+//!   scan for a low-confidence candidate set. Every path ends in the same
+//!   f64 kernel and `select_topk`, so responses are byte-identical across
+//!   engines and precisions for every hit both return;
 //! * [`cache`] — a sharded in-memory LRU keyed on `(node, k, θ)`;
 //! * [`api`] — the typed wire schema shared by server, client, router
 //!   and loadtest: [`api::TopkRequest`], [`api::BatchRequest`] (the
@@ -61,8 +63,8 @@
 //!
 //! ```
 //! use galign_serve::artifact::{Artifact, Mat};
-//! use galign_serve::server::{ServeConfig, Server};
-//! use galign_serve::topk::TopkIndex;
+//! use galign_serve::server::{Server, ServerConfig};
+//! use galign_serve::topk::{Plan, RowQuery, TopkIndex};
 //!
 //! // A toy artifact: one layer, identical 3-node networks.
 //! let m = Mat::new(3, 2, vec![1.0, 0.0, 0.0, 1.0, 0.6, 0.8]).unwrap();
@@ -74,11 +76,11 @@
 //!
 //! // Query it directly ...
 //! let index = TopkIndex::from_artifact(reloaded);
-//! let hits = index.topk(0, 2, None).unwrap();
-//! assert_eq!(hits[0].target, 0);
+//! let answers = index.topk(&[RowQuery { node: 0, k: 2 }], None, Plan::EXACT).unwrap();
+//! assert_eq!(answers[0].0[0].target, 0);
 //!
 //! // ... or over HTTP.
-//! let server = Server::bind("127.0.0.1:0", index, ServeConfig::default()).unwrap();
+//! let server = Server::bind("127.0.0.1:0", index, ServerConfig::default()).unwrap();
 //! let handle = server.spawn();
 //! handle.shutdown().unwrap();
 //! ```
@@ -99,7 +101,5 @@ pub use api::{BatchRequest, TopkRequest, TopkResponse};
 pub use artifact::{Artifact, Mat, QuantSection, ShardManifest};
 pub use cache::{LruCache, QueryKey, ShardedCache};
 pub use client::{Client, ClientConfig, PoolStats};
-pub use server::{
-    ServeConfig, Server, ServerConfig, ServerConfigBuilder, ServerHandle, GENERATION_HEADER,
-};
-pub use topk::{EngineMode, EngineUsed, Hit, QuantMode, QueryError, TopkIndex};
+pub use server::{Server, ServerConfig, ServerConfigBuilder, ServerHandle, GENERATION_HEADER};
+pub use topk::{EngineMode, EngineUsed, Hit, Plan, QuantMode, QueryError, RowQuery, TopkIndex};

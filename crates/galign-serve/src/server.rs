@@ -212,11 +212,6 @@ pub struct ServerConfig {
     pub max_connections: usize,
 }
 
-/// Former name of [`ServerConfig`], kept so existing struct literals and
-/// signatures keep compiling.
-#[doc(hidden)]
-pub type ServeConfig = ServerConfig;
-
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
@@ -2151,7 +2146,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_defaults_and_old_name_still_compiles() {
+    fn builder_overrides_defaults() {
         let cfg = ServerConfig::builder()
             .workers(2)
             .max_k(50)
@@ -2173,9 +2168,6 @@ mod tests {
         );
         // Unset fields keep their defaults.
         assert_eq!(cfg.default_k, ServerConfig::default().default_k);
-        // The historical type name is an alias, not a fork.
-        let legacy: ServeConfig = cfg;
-        assert_eq!(legacy.workers, 2);
     }
 
     #[test]

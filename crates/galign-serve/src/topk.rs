@@ -1,24 +1,27 @@
-//! The top-k alignment query kernel.
+//! The top-k alignment query kernel: one planned entry point,
+//! [`TopkIndex::topk`], over a batch of [`RowQuery`].
 //!
-//! Since the `simblock` redesign this module holds **no scoring code of its
-//! own**: queries are validated here and then delegated to the shared
-//! blocked engine in [`galign_matrix::simblock`] — the same
-//! [`SimPanel`] panel GEMM that backs
-//! the batch pipeline's matching stage. Scores are θ-weighted sums of
-//! per-layer dot products over row-L2-normalized embeddings — exactly the
-//! aggregated alignment matrix `S = Σ_l θ⁽ˡ⁾ H_s⁽ˡ⁾ H_t⁽ˡ⁾ᵀ` (paper
-//! Eq. 11–12), evaluated one source row at a time with bounded-heap
-//! selection (`O(n log k)`), and large query batches fan out across
-//! scoped worker threads via [`galign_matrix::simblock::topk_rows`].
+//! Scores are θ-weighted sums of per-layer dot products over
+//! row-L2-normalized embeddings — exactly the aggregated alignment matrix
+//! `S = Σ_l θ⁽ˡ⁾ H_s⁽ˡ⁾ H_t⁽ˡ⁾ᵀ` (paper Eq. 11–12) — selected per query
+//! with a bounded heap (`O(n log k)`). [`TopkIndex::plan`] decides once
+//! per batch how it is answered: the exact engine (the shared blocked
+//! [`GatheredPanel`] sweep of [`galign_matrix::simblock`], which also
+//! backs the batch pipeline's matching stage) or ANN candidate generation
+//! with an exact re-rank, crossed with the first-pass scan precision. A
+//! batch of one is just the smallest batch, so `/v1`, `/v2` and the
+//! coalescing scheduler all score through the same code.
 
 use crate::artifact::{Artifact, Mat, ShardManifest};
 pub use galign_index::Backend;
 use galign_index::{AnnIndex, SearchStats, VectorSet};
 use galign_matrix::dense::dot;
-use galign_matrix::simblock::{self, GatheredPanel, ScoreProvider, SimPanel};
+use galign_matrix::simblock::{self, GatheredPanel, SimPanel};
 use galign_matrix::Dense;
 use galign_telemetry::context;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::io;
 
 pub use galign_matrix::simblock::{select_topk, select_topk_bruteforce, Hit};
@@ -213,15 +216,70 @@ fn mat_to_dense(m: Mat) -> Dense {
 /// to the ANN engine (overridable per index).
 pub const DEFAULT_AUTO_THRESHOLD: usize = 4096;
 
-/// One query of a coalesced batch: a source node with its own `k`. All
-/// queries of a batch share one θ and one engine routing decision — the
-/// batch scheduler groups by those before calling the gathered kernels.
+/// One query of a batch: a source node with its own `k`. All queries of a
+/// batch share one θ and one [`Plan`] — the batch scheduler groups by
+/// those before calling [`TopkIndex::topk`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowQuery {
     /// Source-network node id.
     pub node: usize,
     /// Hits requested for this query.
     pub k: usize,
+}
+
+/// How a batch is answered, decided once by [`TopkIndex::plan`]: the
+/// exact scan or ANN candidate generation over the attached backend
+/// (HNSW or IVF), crossed with the first-pass scan precision the index
+/// can actually serve (off, int8 or f16). Deterministic per request, so
+/// it keys batch grouping and the result cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Plan {
+    /// ANN backend that generates candidates; `None` scans every target.
+    pub ann: Option<Backend>,
+    /// First-pass scan precision: `Off` unless matching panels are
+    /// resident.
+    pub quant: QuantMode,
+}
+
+impl Plan {
+    /// The full f64 exact scan, valid on every index.
+    pub const EXACT: Plan = Plan {
+        ann: None,
+        quant: QuantMode::Off,
+    };
+
+    /// The engine this plan routes to (before any low-confidence ANN
+    /// fallback) — the `engine` a response reports.
+    #[must_use]
+    pub fn engine(self) -> EngineUsed {
+        if self.ann.is_some() {
+            EngineUsed::Ann
+        } else {
+            EngineUsed::Exact
+        }
+    }
+
+    fn key(self) -> (u32, u8) {
+        (self.ann.map_or(0, Backend::tag), self.quant.tag())
+    }
+}
+
+impl Hash for Plan {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl Ord for Plan {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+impl PartialOrd for Plan {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// Quantized target panel kept resident for first-pass scans, shared with
@@ -398,29 +456,6 @@ impl TopkIndex {
         self.quant.as_ref().map_or(0, |q| q.target.resident_bytes())
     }
 
-    /// The panel a request-level `quant` mode resolves to: `Some` only
-    /// when a panel is resident *and* its encoding matches the request
-    /// (asking for `int8` against an `f16` artifact degrades to f64 —
-    /// results are bit-identical either way).
-    fn effective_quant(&self, requested: QuantMode) -> Option<&QuantHandle> {
-        let want = requested.panel_mode()?;
-        let q = self.quant.as_ref()?;
-        (q.mode == want).then_some(q)
-    }
-
-    /// The scan mode a request-level `quant` actually resolves to on this
-    /// index: the request's own mode when matching panels are resident,
-    /// `Off` when it degrades to the f64 path. Deterministic per request,
-    /// so the batch planner can key caching and grouping on it.
-    #[must_use]
-    pub fn effective_quant_mode(&self, requested: QuantMode) -> QuantMode {
-        if self.effective_quant(requested).is_some() {
-            requested
-        } else {
-            QuantMode::Off
-        }
-    }
-
     /// Hands the resident panel to the ANN index so traversal can walk
     /// quantized rows. Backends that cannot (or a shape mismatch) only
     /// cost a log line — searches keep working on f64 vectors.
@@ -520,113 +555,43 @@ impl TopkIndex {
         self.ann.as_ref().map(|a| a.to_bytes())
     }
 
-    /// Whether a query under `mode` would route to the ANN engine (before
-    /// any low-confidence fallback). Deterministic per request, so cache
-    /// keys can depend on it.
+    /// Plans a batch: the one place a request's `mode` and `quant` meet
+    /// this index. ANN candidate generation is planned when an index is
+    /// attached and `mode` asks for it (`auto` only from
+    /// [`TopkIndex::auto_threshold`] target nodes up); a quantized
+    /// first-pass scan is planned when resident panels match the
+    /// requested encoding (asking for `int8` against an `f16` artifact
+    /// degrades to f64 — results are bit-identical either way). The plan
+    /// is deterministic per request, so the batch scheduler groups, caches
+    /// and traces on it.
     #[must_use]
-    pub fn would_use_ann(&self, mode: EngineMode) -> bool {
-        self.pick_ann(mode).is_some()
-    }
-
-    fn pick_ann(&self, mode: EngineMode) -> Option<&dyn AnnIndex> {
-        let ann = self.ann.as_deref()?;
-        match mode {
-            EngineMode::Exact => None,
-            EngineMode::Ann => Some(ann),
-            EngineMode::Auto => (self.target_nodes() >= self.auto_threshold).then_some(ann),
-        }
-    }
-
-    /// Exact serving score of one (source, target) pair — the same FP
-    /// operations in the same order as `SimPanel::score_block` (zero
-    /// init, then `+= θ_l·dot` per layer in index order, skipping
-    /// zero-weight layers), so re-ranked ANN scores are bit-identical to
-    /// the exact engine's.
-    fn exact_score(&self, v: usize, u: usize, theta: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (l, &w) in theta.iter().enumerate() {
-            if w == 0.0 {
-                continue;
-            }
-            acc += w * dot(self.source[l].row(v), self.target[l].row(u));
-        }
-        acc
-    }
-
-    /// ANN candidates + exact re-rank for one node. `None` means the
-    /// candidate set was low-confidence (fewer candidates than requested
-    /// hits) and the caller should fall back to the exact scan.
-    fn ann_topk(
-        &self,
-        ann: &dyn AnnIndex,
-        node: usize,
-        k: usize,
-        theta: &[f64],
-        quantized: bool,
-    ) -> Option<Vec<Hit>> {
-        let q = self.query_vector(node, theta);
-        let mut stats = SearchStats::default();
-        let st = context::stage("ann_search");
-        let cands = if quantized {
-            ann.search_quant(&q, k, &mut stats)
-        } else {
-            ann.search(&q, k, &mut stats)
+    pub fn plan(&self, mode: EngineMode, quant: QuantMode) -> Plan {
+        let ann = self
+            .ann
+            .as_ref()
+            .map(|a| a.backend())
+            .filter(|_| match mode {
+                EngineMode::Exact => false,
+                EngineMode::Ann => true,
+                EngineMode::Auto => self.target_nodes() >= self.auto_threshold,
+            });
+        let quant = match (quant.panel_mode(), &self.quant) {
+            (Some(want), Some(q)) if q.mode == want => quant,
+            _ => QuantMode::Off,
         };
-        st.finish_with(vec![
-            ("candidates", cands.len().to_string()),
-            ("distance_evals", stats.distance_evals.to_string()),
-        ]);
-        context::annotate("ann_candidates", cands.len() as u64);
-        context::annotate("distance_evals", stats.distance_evals);
-        if cands.len() < k.min(self.target_nodes()) {
-            if galign_telemetry::metrics_enabled() {
-                galign_telemetry::counter_add("serve.index.fallbacks", 1);
-            }
-            return None;
-        }
-        // Re-rank in ascending-candidate-id order so select_topk's tie
-        // contract (descending score, then ascending index) maps straight
-        // back to ascending target id — identical to the exact engine.
-        let st = context::stage("exact_rerank");
-        let mut ids: Vec<usize> = cands.iter().map(|c| c.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let scores: Vec<f64> = ids
-            .iter()
-            .map(|&u| self.exact_score(node, u, theta))
-            .collect();
-        st.finish_with(vec![("evals", ids.len().to_string())]);
-        context::annotate("distance_evals", ids.len() as u64);
-        Some(
-            select_topk(&scores, k)
-                .into_iter()
-                .map(|h| Hit {
-                    target: ids[h.target],
-                    score: h.score,
-                })
-                .collect(),
-        )
+        Plan { ann, quant }
     }
 
-    /// Validates a query without running it — the same checks (and the
-    /// same error wording) every query path applies before scoring. The
-    /// batch scheduler validates up front so a grouped gathered compute
-    /// can never fail mid-flush.
+    /// Validates a batch without running it — the checks (and the error
+    /// wording) [`TopkIndex::topk`] applies before scoring. The batch
+    /// scheduler validates up front so a grouped compute can never fail
+    /// mid-flush.
     ///
     /// # Errors
-    /// [`QueryError`] on an out-of-range node, `k == 0`, or a θ override
-    /// of the wrong length.
-    pub fn validate(
-        &self,
-        nodes: &[usize],
-        k: usize,
-        theta: Option<&[f64]>,
-    ) -> Result<(), QueryError> {
-        self.check(nodes, k, theta)
-    }
-
-    fn check(&self, nodes: &[usize], k: usize, theta: Option<&[f64]>) -> Result<(), QueryError> {
-        if k == 0 {
+    /// [`QueryError`] on any `k == 0`, a θ override of the wrong length,
+    /// or an out-of-range node, checked in that order.
+    pub fn validate(&self, queries: &[RowQuery], theta: Option<&[f64]>) -> Result<(), QueryError> {
+        if queries.iter().any(|q| q.k == 0) {
             return Err(QueryError::ZeroK);
         }
         if let Some(t) = theta {
@@ -637,262 +602,108 @@ impl TopkIndex {
                 });
             }
         }
-        let nodes_total = self.source_nodes();
-        for &n in nodes {
-            if n >= nodes_total {
-                return Err(QueryError::NodeOutOfRange {
-                    node: n,
-                    nodes: nodes_total,
-                });
-            }
+        let nodes = self.source_nodes();
+        match queries.iter().find(|q| q.node >= nodes) {
+            Some(q) => Err(QueryError::NodeOutOfRange {
+                node: q.node,
+                nodes,
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// The shared blocked scoring panel under a (validated) θ.
-    fn panel<'a>(&'a self, theta: &'a [f64]) -> SimPanel<'a> {
-        SimPanel::new(&self.source, &self.target, theta)
-            .expect("artifact layers validated at load time")
-    }
-
-    /// Top-k alignment candidates of one source node, best first. Ties
-    /// break toward the smaller target id. `k` is clamped to the target
-    /// node count; `theta` of `None` uses the artifact default.
+    /// Top-k alignment candidates of every query in the batch, answered
+    /// as `plan` says, with the engine that answered each query. Hits are
+    /// best first, ties break toward the smaller target id, `k` is clamped
+    /// to the target node count, and `theta` of `None` uses the artifact
+    /// default. A batch of one is just the smallest batch:
+    ///
+    /// * the exact engine scores the whole batch in one gathered
+    ///   query-block × target-panel sweep
+    ///   ([`galign_matrix::simblock::GatheredPanel`]); under a quantized
+    ///   plan each query instead shortlists on the resident panel with a
+    ///   certified margin and re-ranks the shortlist exactly;
+    /// * the ANN engine searches once per query (over quantized rows under
+    ///   a quantized plan), then re-ranks every query against its own
+    ///   candidates inside one gathered block of the union of their rows;
+    ///   a query whose candidate set is low-confidence (fewer candidates
+    ///   than requested hits) falls back to the exact engine.
+    ///
+    /// Scores are bit-identical across engines and plans for every hit
+    /// both return. A plan naming an ANN index or panels this index lacks
+    /// runs on what the index has.
     ///
     /// # Errors
-    /// [`QueryError`] on an out-of-range node, `k == 0`, or a θ override
-    /// of the wrong length.
+    /// As [`TopkIndex::validate`] — the whole batch is rejected before any
+    /// scoring happens.
     pub fn topk(
         &self,
-        node: usize,
-        k: usize,
+        queries: &[RowQuery],
         theta: Option<&[f64]>,
-    ) -> Result<Vec<Hit>, QueryError> {
-        self.check(&[node], k, theta)?;
-        let panel = self.panel(theta.unwrap_or(&self.theta));
-        Ok(select_topk(&panel.score_row(node), k))
-    }
-
-    /// Top-k for a batch of source nodes, parallel across queries.
-    ///
-    /// # Errors
-    /// [`QueryError`] if any node is out of range, `k == 0`, or the θ
-    /// override has the wrong length — the whole batch is rejected before
-    /// any scoring happens.
-    pub fn topk_batch(
-        &self,
-        nodes: &[usize],
-        k: usize,
-        theta: Option<&[f64]>,
-    ) -> Result<Vec<Vec<Hit>>, QueryError> {
-        self.check(nodes, k, theta)?;
-        let panel = self.panel(theta.unwrap_or(&self.theta));
-        Ok(simblock::topk_rows(&panel, nodes, k))
-    }
-
-    /// [`TopkIndex::topk`] with explicit engine selection; reports which
-    /// engine actually answered (ANN falls back to exact when no index is
-    /// attached or the candidate set is low-confidence).
-    ///
-    /// # Errors
-    /// Same as [`TopkIndex::topk`].
-    pub fn topk_with_mode(
-        &self,
-        node: usize,
-        k: usize,
-        theta: Option<&[f64]>,
-        mode: EngineMode,
-    ) -> Result<(Vec<Hit>, EngineUsed), QueryError> {
-        self.topk_with_opts(node, k, theta, mode, QuantMode::Off)
-    }
-
-    /// [`TopkIndex::topk_with_mode`] plus first-pass quantization. Under a
-    /// quantized mode the exact scan shortlists candidates on the resident
-    /// panel (certified margins, see `galign-quant`) and re-ranks the
-    /// shortlist through the exact kernel, and ANN traversal walks
-    /// quantized rows with the exact re-rank unchanged — hits and scores
-    /// stay bit-identical to [`QuantMode::Off`].
-    ///
-    /// # Errors
-    /// Same as [`TopkIndex::topk`].
-    pub fn topk_with_opts(
-        &self,
-        node: usize,
-        k: usize,
-        theta: Option<&[f64]>,
-        mode: EngineMode,
-        quant: QuantMode,
-    ) -> Result<(Vec<Hit>, EngineUsed), QueryError> {
-        self.check(&[node], k, theta)?;
-        let th = theta.unwrap_or(&self.theta);
-        let quantized = self.effective_quant(quant);
-        if let Some(ann) = self.pick_ann(mode) {
-            if let Some(hits) = self.ann_topk(ann, node, k, th, quantized.is_some()) {
-                return Ok((hits, EngineUsed::Ann));
-            }
-        }
-        let panel = self.panel(th);
-        let st = context::stage("exact_scan");
-        let hits = match quantized {
-            Some(q) => {
-                if galign_telemetry::metrics_enabled() {
-                    galign_telemetry::counter_add("serve.quant.scans", 1);
-                }
-                panel
-                    .topk_row_quantized(&q.target, node, k)
-                    .expect("resident panel validated against the target rows at load")
-            }
-            None => select_topk(&panel.score_row(node), k),
-        };
-        st.finish_with(vec![("rows", "1".to_string())]);
-        context::annotate("distance_evals", self.target_nodes() as u64);
-        Ok((hits, EngineUsed::Exact))
-    }
-
-    /// [`TopkIndex::topk_batch`] with explicit engine selection. Each
-    /// query reports its own engine, because a low-confidence ANN
-    /// candidate set falls back to exact per node.
-    ///
-    /// # Errors
-    /// Same as [`TopkIndex::topk_batch`] — the whole batch is rejected
-    /// before any scoring happens.
-    pub fn topk_batch_with_mode(
-        &self,
-        nodes: &[usize],
-        k: usize,
-        theta: Option<&[f64]>,
-        mode: EngineMode,
+        plan: Plan,
     ) -> Result<Vec<(Vec<Hit>, EngineUsed)>, QueryError> {
-        self.topk_batch_with_opts(nodes, k, theta, mode, QuantMode::Off)
-    }
-
-    /// [`TopkIndex::topk_batch_with_mode`] plus first-pass quantization
-    /// (see [`TopkIndex::topk_with_opts`] — bit-identical results).
-    ///
-    /// # Errors
-    /// Same as [`TopkIndex::topk_batch`] — the whole batch is rejected
-    /// before any scoring happens.
-    pub fn topk_batch_with_opts(
-        &self,
-        nodes: &[usize],
-        k: usize,
-        theta: Option<&[f64]>,
-        mode: EngineMode,
-        quant: QuantMode,
-    ) -> Result<Vec<(Vec<Hit>, EngineUsed)>, QueryError> {
-        self.check(nodes, k, theta)?;
+        self.validate(queries, theta)?;
         let th = theta.unwrap_or(&self.theta);
-        let quantized = self.effective_quant(quant);
-        let Some(ann) = self.pick_ann(mode) else {
-            let panel = self.panel(th);
-            let st = context::stage("exact_scan");
-            let rows = match quantized {
-                Some(q) => {
-                    if galign_telemetry::metrics_enabled() {
-                        galign_telemetry::counter_add("serve.quant.scans", nodes.len() as u64);
-                    }
-                    panel
-                        .topk_rows_quantized(&q.target, nodes, k)
-                        .expect("resident panel validated against the target rows at load")
-                }
-                None => simblock::topk_rows(&panel, nodes, k),
-            };
-            st.finish_with(vec![("rows", nodes.len().to_string())]);
-            context::annotate("distance_evals", (nodes.len() * self.target_nodes()) as u64);
-            return Ok(rows
+        let quant = self
+            .quant
+            .as_ref()
+            .filter(|q| plan.quant.panel_mode() == Some(q.mode));
+        let Some(ann) = plan.ann.and(self.ann.as_deref()) else {
+            return Ok(self
+                .exact_scan(queries, th, quant)
                 .into_iter()
                 .map(|hits| (hits, EngineUsed::Exact))
                 .collect());
         };
-        Ok(nodes
-            .iter()
-            .map(
-                |&node| match self.ann_topk(ann, node, k, th, quantized.is_some()) {
-                    Some(hits) => (hits, EngineUsed::Ann),
-                    None => {
-                        let panel = self.panel(th);
-                        let st = context::stage("exact_scan");
-                        let hits = match quantized {
-                            Some(q) => {
-                                if galign_telemetry::metrics_enabled() {
-                                    galign_telemetry::counter_add("serve.quant.scans", 1);
-                                }
-                                panel
-                                    .topk_row_quantized(&q.target, node, k)
-                                    .expect("resident panel validated at load")
-                            }
-                            None => select_topk(&panel.score_row(node), k),
-                        };
-                        st.finish_with(vec![("rows", "1".to_string())]);
-                        context::annotate("distance_evals", self.target_nodes() as u64);
-                        (hits, EngineUsed::Exact)
-                    }
-                },
-            )
+        let mut out = vec![None; queries.len()];
+        let fallback = self.ann_rerank(ann, queries, th, quant.is_some(), &mut out);
+        if !fallback.is_empty() {
+            let fb: Vec<RowQuery> = fallback.iter().map(|&i| queries[i]).collect();
+            for (&i, hits) in fallback.iter().zip(self.exact_scan(&fb, th, quant)) {
+                out[i] = Some((hits, EngineUsed::Exact));
+            }
+        }
+        Ok(out
+            .into_iter()
+            .map(|slot| slot.expect("every query answered"))
             .collect())
     }
 
-    fn check_queries(
+    /// The exact engine over a (validated) batch: one gathered GEMM
+    /// sweep, or per query a certified shortlist on the resident panel
+    /// plus an exact re-rank. A shortlist is query-specific, so there is
+    /// no GEMM to share — the quantized win is the panel's memory traffic.
+    fn exact_scan(
         &self,
         queries: &[RowQuery],
-        theta: Option<&[f64]>,
-    ) -> Result<Vec<usize>, QueryError> {
-        let nodes: Vec<usize> = queries.iter().map(|q| q.node).collect();
-        if queries.iter().any(|q| q.k == 0) {
-            return Err(QueryError::ZeroK);
-        }
-        self.check(&nodes, 1, theta)?;
-        Ok(nodes)
-    }
-
-    /// Coalesced exact top-k: the whole batch is gathered into one
-    /// query-block × target-panel GEMM sweep
-    /// ([`galign_matrix::simblock::GatheredPanel`]) with per-query `k`
-    /// selection. Bit-identical to calling [`TopkIndex::topk`] per query.
-    ///
-    /// # Errors
-    /// [`QueryError`] if any node is out of range, any `k == 0`, or the θ
-    /// override has the wrong length — the whole batch is rejected before
-    /// any scoring happens.
-    pub fn topk_gathered(
-        &self,
-        queries: &[RowQuery],
-        theta: Option<&[f64]>,
-    ) -> Result<Vec<Vec<Hit>>, QueryError> {
-        let nodes = self.check_queries(queries, theta)?;
-        let th = theta.unwrap_or(&self.theta);
-        Ok(self.gathered_exact(queries, &nodes, th))
-    }
-
-    fn gathered_exact(&self, queries: &[RowQuery], nodes: &[usize], th: &[f64]) -> Vec<Vec<Hit>> {
-        let panel = GatheredPanel::new(&self.source, &self.target, th, nodes)
-            .expect("queries validated before gathering");
-        let ks: Vec<usize> = queries.iter().map(|q| q.k).collect();
+        th: &[f64],
+        quant: Option<&QuantHandle>,
+    ) -> Vec<Vec<Hit>> {
         let st = context::stage("exact_scan");
-        let rows = simblock::topk_rows_per_k(&panel, &ks);
-        st.finish_with(vec![("rows", nodes.len().to_string())]);
-        context::annotate("distance_evals", (nodes.len() * self.target_nodes()) as u64);
-        rows
-    }
-
-    /// Quantized counterpart of [`TopkIndex::gathered_exact`]: per-query
-    /// certified shortlist + exact re-rank on the shared panel. The
-    /// shortlist is query-specific, so there is no gathered GEMM to share
-    /// — the win is the panel's memory traffic, not batching.
-    fn quant_exact(&self, q: &QuantHandle, queries: &[RowQuery], th: &[f64]) -> Vec<Vec<Hit>> {
-        let panel = self.panel(th);
-        let st = context::stage("exact_scan");
-        if galign_telemetry::metrics_enabled() {
-            galign_telemetry::counter_add("serve.quant.scans", queries.len() as u64);
-        }
-        let rows: Vec<Vec<Hit>> = queries
-            .iter()
-            .map(|rq| {
-                panel
-                    .topk_row_quantized(&q.target, rq.node, rq.k)
-                    .expect("resident panel validated against the target rows at load")
-            })
-            .collect();
+        let rows = match quant {
+            Some(q) => {
+                if galign_telemetry::metrics_enabled() {
+                    galign_telemetry::counter_add("serve.quant.scans", queries.len() as u64);
+                }
+                let panel = SimPanel::new(&self.source, &self.target, th)
+                    .expect("artifact layers validated at load time");
+                queries
+                    .iter()
+                    .map(|rq| {
+                        panel
+                            .topk_row_quantized(&q.target, rq.node, rq.k)
+                            .expect("resident panel validated against the target rows at load")
+                    })
+                    .collect()
+            }
+            None => {
+                let nodes: Vec<usize> = queries.iter().map(|q| q.node).collect();
+                let ks: Vec<usize> = queries.iter().map(|q| q.k).collect();
+                let panel = GatheredPanel::new(&self.source, &self.target, th, &nodes)
+                    .expect("queries validated before gathering");
+                simblock::topk_rows_per_k(&panel, &ks)
+            }
+        };
         st.finish_with(vec![("rows", queries.len().to_string())]);
         context::annotate(
             "distance_evals",
@@ -901,65 +712,33 @@ impl TopkIndex {
         rows
     }
 
-    /// Coalesced top-k with engine selection: the batched counterpart of
-    /// [`TopkIndex::topk_batch_with_mode`], bit-identical to it query for
-    /// query. On the ANN path every query keeps its *own* candidate set
-    /// (searches are per-query, exactly as in the sequential path), but
-    /// the exact re-rank is batched: the union of all candidate ids
-    /// ([`galign_index::union_candidate_ids`]) is gathered once into a
-    /// contiguous per-layer block and every query re-ranks its candidates
-    /// inside that block. Low-confidence candidate sets fall back to the
-    /// exact engine, pooled into one gathered GEMM sweep.
-    ///
-    /// # Errors
-    /// Same as [`TopkIndex::topk_gathered`].
-    pub fn topk_gathered_with_mode(
+    /// The ANN engine over a (validated) batch: one search per query, then
+    /// one exact re-rank over the gathered union of the confident queries'
+    /// candidates. Each query is scored only against its own candidates,
+    /// in ascending target-id order, with the FP operations of
+    /// `SimPanel::score_block` (zero init, then `+= θ_l·dot` per layer in
+    /// index order, skipping zero-weight layers) — so `select_topk`'s tie
+    /// contract maps straight back to target ids and scores are
+    /// bit-identical to the exact engine's. Fills `out` for the confident
+    /// queries and returns the positions of the low-confidence ones.
+    fn ann_rerank(
         &self,
+        ann: &dyn AnnIndex,
         queries: &[RowQuery],
-        theta: Option<&[f64]>,
-        mode: EngineMode,
-    ) -> Result<Vec<(Vec<Hit>, EngineUsed)>, QueryError> {
-        self.topk_gathered_with_opts(queries, theta, mode, QuantMode::Off)
-    }
-
-    /// [`TopkIndex::topk_gathered_with_mode`] plus first-pass quantization
-    /// (see [`TopkIndex::topk_with_opts`] — bit-identical results; under a
-    /// quantized mode the pooled exact scans become per-query certified
-    /// shortlists and ANN searches walk quantized rows).
-    ///
-    /// # Errors
-    /// Same as [`TopkIndex::topk_gathered`].
-    pub fn topk_gathered_with_opts(
-        &self,
-        queries: &[RowQuery],
-        theta: Option<&[f64]>,
-        mode: EngineMode,
-        quant: QuantMode,
-    ) -> Result<Vec<(Vec<Hit>, EngineUsed)>, QueryError> {
-        let nodes = self.check_queries(queries, theta)?;
-        let th = theta.unwrap_or(&self.theta);
-        let quantized = self.effective_quant(quant);
-        let Some(ann) = self.pick_ann(mode) else {
-            let rows = match quantized {
-                Some(q) => self.quant_exact(q, queries, th),
-                None => self.gathered_exact(queries, &nodes, th),
-            };
-            return Ok(rows
-                .into_iter()
-                .map(|hits| (hits, EngineUsed::Exact))
-                .collect());
-        };
-        // Per-query candidate generation: identical searches (and thus
-        // identical candidate sets) to the sequential path.
+        th: &[f64],
+        quantized: bool,
+        out: &mut [Option<(Vec<Hit>, EngineUsed)>],
+    ) -> Vec<usize> {
         let st = context::stage("ann_search");
-        let mut confident: Vec<(usize, Vec<galign_index::Candidate>)> = Vec::new();
+        // (query position, its sorted, deduplicated candidate ids)
+        let mut confident: Vec<(usize, Vec<usize>)> = Vec::new();
         let mut fallback: Vec<usize> = Vec::new();
         let mut total_cands = 0u64;
         let mut total_evals = 0u64;
         for (i, q) in queries.iter().enumerate() {
             let qv = self.query_vector(q.node, th);
             let mut stats = SearchStats::default();
-            let cands = if quantized.is_some() {
+            let cands = if quantized {
                 ann.search_quant(&qv, q.k, &mut stats)
             } else {
                 ann.search(&qv, q.k, &mut stats)
@@ -972,7 +751,10 @@ impl TopkIndex {
                 }
                 fallback.push(i);
             } else {
-                confident.push((i, cands));
+                let mut ids: Vec<usize> = cands.iter().map(|c| c.id).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                confident.push((i, ids));
             }
         }
         st.finish_with(vec![
@@ -982,80 +764,61 @@ impl TopkIndex {
         ]);
         context::annotate("ann_candidates", total_cands);
         context::annotate("distance_evals", total_evals);
+        if confident.is_empty() {
+            return fallback;
+        }
 
-        let mut out: Vec<Option<(Vec<Hit>, EngineUsed)>> = vec![None; queries.len()];
-        if !confident.is_empty() {
-            // Shared-candidate batched re-rank: gather the union's target
-            // rows once (cache locality for every query in the batch), then
-            // score each query only against its own candidates — selection
-            // stays restricted per query, so results match the sequential
-            // re-rank bit for bit.
-            let union: Vec<usize> = galign_index::union_candidate_ids(
-                &confident.iter().map(|(_, c)| c.clone()).collect::<Vec<_>>(),
-            );
-            let gathered: Vec<Dense> = self
-                .target
+        // Gather the union's target rows once (cache locality for every
+        // query in the batch); selection stays restricted per query.
+        let mut union: Vec<usize> = confident
+            .iter()
+            .flat_map(|(_, ids)| ids.iter().copied())
+            .collect();
+        union.sort_unstable();
+        union.dedup();
+        let gathered: Vec<Dense> = self
+            .target
+            .iter()
+            .map(|layer| {
+                let mut data = Vec::with_capacity(union.len() * layer.cols());
+                for &u in &union {
+                    data.extend_from_slice(layer.row(u));
+                }
+                Dense::from_vec(union.len(), layer.cols(), data)
+                    .expect("gathered candidate rows keep the layer dimension")
+            })
+            .collect();
+        let st = context::stage("exact_rerank");
+        let mut evals = 0u64;
+        for (i, ids) in confident {
+            let node = queries[i].node;
+            let scores: Vec<f64> = ids
                 .iter()
-                .map(|layer| {
-                    let mut data = Vec::with_capacity(union.len() * layer.cols());
-                    for &u in &union {
-                        data.extend_from_slice(layer.row(u));
+                .map(|&u| {
+                    let pos = union.binary_search(&u).expect("candidate in union");
+                    let mut acc = 0.0;
+                    for (l, &w) in th.iter().enumerate() {
+                        if w == 0.0 {
+                            continue;
+                        }
+                        acc += w * dot(self.source[l].row(node), gathered[l].row(pos));
                     }
-                    Dense::from_vec(union.len(), layer.cols(), data)
-                        .expect("gathered candidate rows keep the layer dimension")
+                    acc
                 })
                 .collect();
-            let st = context::stage("exact_rerank");
-            let mut evals = 0u64;
-            for (i, cands) in confident {
-                let node = queries[i].node;
-                // Ascending-id order so select_topk's tie contract maps
-                // straight back to target ids — identical to ann_topk.
-                let mut ids: Vec<usize> = cands.iter().map(|c| c.id).collect();
-                ids.sort_unstable();
-                ids.dedup();
-                let scores: Vec<f64> = ids
-                    .iter()
-                    .map(|&u| {
-                        let pos = union.binary_search(&u).expect("candidate in union");
-                        let mut acc = 0.0;
-                        for (l, &w) in th.iter().enumerate() {
-                            if w == 0.0 {
-                                continue;
-                            }
-                            acc += w * dot(self.source[l].row(node), gathered[l].row(pos));
-                        }
-                        acc
-                    })
-                    .collect();
-                evals += ids.len() as u64;
-                let hits = select_topk(&scores, queries[i].k)
-                    .into_iter()
-                    .map(|h| Hit {
-                        target: ids[h.target],
-                        score: h.score,
-                    })
-                    .collect();
-                out[i] = Some((hits, EngineUsed::Ann));
-            }
-            st.finish_with(vec![("evals", evals.to_string())]);
-            context::annotate("distance_evals", evals);
+            evals += ids.len() as u64;
+            let hits = select_topk(&scores, queries[i].k)
+                .into_iter()
+                .map(|h| Hit {
+                    target: ids[h.target],
+                    score: h.score,
+                })
+                .collect();
+            out[i] = Some((hits, EngineUsed::Ann));
         }
-        if !fallback.is_empty() {
-            let fb_queries: Vec<RowQuery> = fallback.iter().map(|&i| queries[i]).collect();
-            let fb_nodes: Vec<usize> = fb_queries.iter().map(|q| q.node).collect();
-            let hits = match quantized {
-                Some(q) => self.quant_exact(q, &fb_queries, th),
-                None => self.gathered_exact(&fb_queries, &fb_nodes, th),
-            };
-            for (&i, h) in fallback.iter().zip(hits) {
-                out[i] = Some((h, EngineUsed::Exact));
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|slot| slot.expect("every query answered"))
-            .collect())
+        st.finish_with(vec![("evals", evals.to_string())]);
+        context::annotate("distance_evals", evals);
+        fallback
     }
 }
 
@@ -1067,23 +830,50 @@ mod tests {
     fn tiny_index() -> TopkIndex {
         // Two layers; identical source/target embeddings, so node i's best
         // match is target i with cosine 1.
+        TopkIndex::from_artifact(tiny_artifact())
+    }
+
+    fn tiny_artifact() -> Artifact {
         let data = vec![1.0, 0.0, 0.0, 1.0, 0.6, 0.8, -1.0, 0.5];
         let m = Mat::new(4, 2, data).unwrap();
-        let artifact = Artifact::new(
+        Artifact::new(
             vec![0.5, 0.5],
             vec![m.clone(), m.clone()],
             vec![m.clone(), m],
             false,
         )
-        .unwrap();
-        TopkIndex::from_artifact(artifact)
+        .unwrap()
+    }
+
+    /// A batch of one under `plan`.
+    fn one(
+        idx: &TopkIndex,
+        node: usize,
+        k: usize,
+        theta: Option<&[f64]>,
+        plan: Plan,
+    ) -> Result<(Vec<Hit>, EngineUsed), QueryError> {
+        Ok(idx.topk(&[RowQuery { node, k }], theta, plan)?.remove(0))
+    }
+
+    /// A batch of one on the f64 exact scan.
+    fn exact(idx: &TopkIndex, node: usize, k: usize, theta: Option<&[f64]>) -> Vec<Hit> {
+        one(idx, node, k, theta, Plan::EXACT).unwrap().0
+    }
+
+    fn assert_hits_bitwise(got: &[Hit], want: &[Hit]) {
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.target, w.target);
+            assert_eq!(g.score.to_bits(), w.score.to_bits());
+        }
     }
 
     #[test]
     fn identical_embeddings_rank_self_first() {
         let idx = tiny_index();
         for v in 0..4 {
-            let hits = idx.topk(v, 1, None).unwrap();
+            let hits = exact(&idx, v, 1, None);
             assert_eq!(hits.len(), 1);
             assert_eq!(hits[0].target, v);
             assert!((hits[0].score - 1.0).abs() < 1e-12);
@@ -1093,7 +883,7 @@ mod tests {
     #[test]
     fn k_clamped_and_sorted_descending() {
         let idx = tiny_index();
-        let hits = idx.topk(0, 100, None).unwrap();
+        let hits = exact(&idx, 0, 100, None);
         assert_eq!(hits.len(), 4);
         for w in hits.windows(2) {
             assert!(w[0].score >= w[1].score);
@@ -1104,7 +894,7 @@ mod tests {
     fn theta_override_changes_scores() {
         let idx = tiny_index();
         // Zero out both layers: every score becomes 0 and ties break by id.
-        let hits = idx.topk(2, 2, Some(&[0.0, 0.0])).unwrap();
+        let hits = exact(&idx, 2, 2, Some(&[0.0, 0.0]));
         assert_eq!(hits[0].target, 0);
         assert_eq!(hits[1].target, 1);
         assert_eq!(hits[0].score, 0.0);
@@ -1114,27 +904,24 @@ mod tests {
     fn errors_are_specific() {
         let idx = tiny_index();
         assert_eq!(
-            idx.topk(9, 1, None).unwrap_err(),
+            one(&idx, 9, 1, None, Plan::EXACT).unwrap_err(),
             QueryError::NodeOutOfRange { node: 9, nodes: 4 }
         );
-        assert_eq!(idx.topk(0, 0, None).unwrap_err(), QueryError::ZeroK);
         assert_eq!(
-            idx.topk(0, 1, Some(&[1.0])).unwrap_err(),
+            one(&idx, 0, 0, None, Plan::EXACT).unwrap_err(),
+            QueryError::ZeroK
+        );
+        assert_eq!(
+            one(&idx, 0, 1, Some(&[1.0]), Plan::EXACT).unwrap_err(),
             QueryError::BadThetaLength { got: 1, want: 2 }
         );
-        // Batch rejects before scoring anything.
-        assert!(idx.topk_batch(&[0, 1, 99], 1, None).is_err());
-    }
-
-    #[test]
-    fn batch_matches_single_queries() {
-        let idx = tiny_index();
-        let nodes = [3, 0, 2, 2, 1];
-        let batch = idx.topk_batch(&nodes, 3, None).unwrap();
-        assert_eq!(batch.len(), nodes.len());
-        for (i, &n) in nodes.iter().enumerate() {
-            assert_eq!(batch[i], idx.topk(n, 3, None).unwrap());
-        }
+        // A batch is rejected before scoring anything.
+        let batch = [0, 1, 99].map(|node| RowQuery { node, k: 1 });
+        assert!(idx.topk(&batch, None, Plan::EXACT).is_err());
+        assert_eq!(
+            idx.validate(&batch, None).unwrap_err(),
+            QueryError::NodeOutOfRange { node: 99, nodes: 4 }
+        );
     }
 
     #[test]
@@ -1151,9 +938,11 @@ mod tests {
     fn ann_mode_without_index_serves_exact() {
         let idx = tiny_index();
         assert!(!idx.has_ann());
-        let (hits, engine) = idx.topk_with_mode(0, 2, None, EngineMode::Ann).unwrap();
+        let plan = idx.plan(EngineMode::Ann, QuantMode::Off);
+        assert_eq!(plan, Plan::EXACT);
+        let (hits, engine) = one(&idx, 0, 2, None, plan).unwrap();
         assert_eq!(engine, EngineUsed::Exact);
-        assert_eq!(hits, idx.topk(0, 2, None).unwrap());
+        assert_eq!(hits, exact(&idx, 0, 2, None));
     }
 
     #[test]
@@ -1161,17 +950,14 @@ mod tests {
         let mut idx = tiny_index();
         idx.build_ann(Backend::Ivf).unwrap();
         assert_eq!(idx.ann_backend(), Some(Backend::Ivf));
+        let plan = idx.plan(EngineMode::Ann, QuantMode::Off);
         for node in 0..4 {
-            let exact = idx.topk(node, 4, None).unwrap();
-            let (ann, engine) = idx.topk_with_mode(node, 4, None, EngineMode::Ann).unwrap();
+            let exact = exact(&idx, node, 4, None);
+            let (ann, engine) = one(&idx, node, 4, None, plan).unwrap();
             assert_eq!(engine, EngineUsed::Ann);
             // Tiny n: the candidate set covers everything, so hits AND
             // bit-level scores must agree exactly.
-            assert_eq!(ann.len(), exact.len());
-            for (a, e) in ann.iter().zip(&exact) {
-                assert_eq!(a.target, e.target);
-                assert_eq!(a.score.to_bits(), e.score.to_bits());
-            }
+            assert_hits_bitwise(&ann, &exact);
         }
     }
 
@@ -1180,15 +966,17 @@ mod tests {
         let mut idx = tiny_index();
         idx.build_ann(Backend::Hnsw).unwrap();
         // Default threshold (4096) far exceeds 4 target nodes: exact.
-        assert!(!idx.would_use_ann(EngineMode::Auto));
-        let (_, engine) = idx.topk_with_mode(0, 2, None, EngineMode::Auto).unwrap();
+        let plan = idx.plan(EngineMode::Auto, QuantMode::Off);
+        assert_eq!(plan.engine(), EngineUsed::Exact);
+        let (_, engine) = one(&idx, 0, 2, None, plan).unwrap();
         assert_eq!(engine, EngineUsed::Exact);
         idx.set_auto_threshold(1);
-        assert!(idx.would_use_ann(EngineMode::Auto));
-        let (_, engine) = idx.topk_with_mode(0, 2, None, EngineMode::Auto).unwrap();
+        let plan = idx.plan(EngineMode::Auto, QuantMode::Off);
+        assert_eq!(plan.ann, Some(Backend::Hnsw));
+        let (_, engine) = one(&idx, 0, 2, None, plan).unwrap();
         assert_eq!(engine, EngineUsed::Ann);
         // Exact mode never routes to ANN.
-        assert!(!idx.would_use_ann(EngineMode::Exact));
+        assert_eq!(idx.plan(EngineMode::Exact, QuantMode::Off), Plan::EXACT);
     }
 
     #[test]
@@ -1197,29 +985,13 @@ mod tests {
         idx.build_ann(Backend::Ivf).unwrap();
         idx.set_auto_threshold(1);
         // θ scales the query vector only, so overrides need no rebuild.
-        let exact = idx.topk(1, 3, Some(&[1.0, 0.0])).unwrap();
-        let (ann, _) = idx
-            .topk_with_mode(1, 3, Some(&[1.0, 0.0]), EngineMode::Ann)
-            .unwrap();
+        let th = [1.0, 0.0];
+        let exact = exact(&idx, 1, 3, Some(&th));
+        let plan = idx.plan(EngineMode::Ann, QuantMode::Off);
+        let (ann, _) = one(&idx, 1, 3, Some(&th), plan).unwrap();
         for (a, e) in ann.iter().zip(&exact) {
             assert_eq!(a.target, e.target);
             assert_eq!(a.score.to_bits(), e.score.to_bits());
-        }
-    }
-
-    #[test]
-    fn batch_with_mode_matches_single_queries() {
-        let mut idx = tiny_index();
-        idx.build_ann(Backend::Ivf).unwrap();
-        idx.set_auto_threshold(1);
-        let nodes = [3, 0, 2];
-        let batch = idx
-            .topk_batch_with_mode(&nodes, 2, None, EngineMode::Auto)
-            .unwrap();
-        for (i, &n) in nodes.iter().enumerate() {
-            let (hits, engine) = idx.topk_with_mode(n, 2, None, EngineMode::Auto).unwrap();
-            assert_eq!(batch[i].0, hits);
-            assert_eq!(batch[i].1, engine);
         }
     }
 
@@ -1260,34 +1032,26 @@ mod tests {
             RowQuery { node: 0, k: 2 },
             RowQuery { node: 1, k: 100 },
         ];
-        let batch = idx.topk_gathered(&queries, None).unwrap();
+        let batch = idx.topk(&queries, None, Plan::EXACT).unwrap();
         assert_eq!(batch.len(), queries.len());
-        for (got, q) in batch.iter().zip(&queries) {
-            let want = idx.topk(q.node, q.k, None).unwrap();
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.target, w.target);
-                assert_eq!(g.score.to_bits(), w.score.to_bits());
-            }
+        for ((got, engine), q) in batch.iter().zip(&queries) {
+            assert_eq!(*engine, EngineUsed::Exact);
+            assert_hits_bitwise(got, &exact(&idx, q.node, q.k, None));
         }
         // θ overrides flow through unchanged.
         let th = [1.0, 0.0];
-        let batch = idx.topk_gathered(&queries, Some(&th)).unwrap();
-        for (got, q) in batch.iter().zip(&queries) {
-            let want = idx.topk(q.node, q.k, Some(&th)).unwrap();
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.target, w.target);
-                assert_eq!(g.score.to_bits(), w.score.to_bits());
-            }
+        let batch = idx.topk(&queries, Some(&th), Plan::EXACT).unwrap();
+        for ((got, _), q) in batch.iter().zip(&queries) {
+            assert_hits_bitwise(got, &exact(&idx, q.node, q.k, Some(&th)));
         }
         // Whole batch rejected on any bad query.
         assert_eq!(
-            idx.topk_gathered(&[RowQuery { node: 0, k: 0 }], None)
+            idx.topk(&[RowQuery { node: 0, k: 0 }], None, Plan::EXACT)
                 .unwrap_err(),
             QueryError::ZeroK
         );
         assert_eq!(
-            idx.topk_gathered(&[RowQuery { node: 9, k: 1 }], None)
+            idx.topk(&[RowQuery { node: 9, k: 1 }], None, Plan::EXACT)
                 .unwrap_err(),
             QueryError::NodeOutOfRange { node: 9, nodes: 4 }
         );
@@ -1302,56 +1066,27 @@ mod tests {
             RowQuery { node: 3, k: 2 },
             // k > target count: the per-query search comes back clamped,
             // which is still >= k.min(target_nodes) so it stays on ANN —
-            // same decision the sequential path makes.
+            // same decision a batch of one makes.
             RowQuery { node: 0, k: 9 },
             RowQuery { node: 2, k: 4 },
             RowQuery { node: 3, k: 1 },
         ];
         for mode in [EngineMode::Exact, EngineMode::Ann, EngineMode::Auto] {
-            let batch = idx.topk_gathered_with_mode(&queries, None, mode).unwrap();
+            let plan = idx.plan(mode, QuantMode::Off);
+            let batch = idx.topk(&queries, None, plan).unwrap();
             for (i, q) in queries.iter().enumerate() {
-                let (hits, engine) = idx.topk_with_mode(q.node, q.k, None, mode).unwrap();
+                let (hits, engine) = one(&idx, q.node, q.k, None, plan).unwrap();
                 assert_eq!(batch[i].1, engine, "engine for query {i} under {mode}");
-                assert_eq!(batch[i].0.len(), hits.len());
-                for (g, w) in batch[i].0.iter().zip(&hits) {
-                    assert_eq!(g.target, w.target);
-                    assert_eq!(g.score.to_bits(), w.score.to_bits());
-                }
+                assert_hits_bitwise(&batch[i].0, &hits);
             }
         }
         // θ override through the gathered ANN re-rank.
         let th = [0.0, 1.0];
-        let batch = idx
-            .topk_gathered_with_mode(&queries, Some(&th), EngineMode::Ann)
-            .unwrap();
+        let plan = idx.plan(EngineMode::Ann, QuantMode::Off);
+        let batch = idx.topk(&queries, Some(&th), plan).unwrap();
         for (i, q) in queries.iter().enumerate() {
-            let (hits, _) = idx
-                .topk_with_mode(q.node, q.k, Some(&th), EngineMode::Ann)
-                .unwrap();
-            for (g, w) in batch[i].0.iter().zip(&hits) {
-                assert_eq!(g.target, w.target);
-                assert_eq!(g.score.to_bits(), w.score.to_bits());
-            }
-        }
-    }
-
-    fn tiny_artifact() -> Artifact {
-        let data = vec![1.0, 0.0, 0.0, 1.0, 0.6, 0.8, -1.0, 0.5];
-        let m = Mat::new(4, 2, data).unwrap();
-        Artifact::new(
-            vec![0.5, 0.5],
-            vec![m.clone(), m.clone()],
-            vec![m.clone(), m],
-            false,
-        )
-        .unwrap()
-    }
-
-    fn assert_hits_bitwise(got: &[Hit], want: &[Hit]) {
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(want) {
-            assert_eq!(g.target, w.target);
-            assert_eq!(g.score.to_bits(), w.score.to_bits());
+            let (hits, _) = one(&idx, q.node, q.k, Some(&th), plan).unwrap();
+            assert_hits_bitwise(&batch[i].0, &hits);
         }
     }
 
@@ -1378,43 +1113,36 @@ mod tests {
             assert!(idx.quant_resident_bytes() > 0);
             assert!(idx.f64_resident_bytes() > 0);
             idx.build_ann(Backend::Ivf).unwrap();
+            // The other panel encoding degrades to f64.
+            let other = match smode {
+                QuantMode::Int8 => QuantMode::F16,
+                _ => QuantMode::Int8,
+            };
+            assert_eq!(idx.plan(EngineMode::Exact, smode).quant, smode);
+            assert_eq!(idx.plan(EngineMode::Exact, other), Plan::EXACT);
             for node in 0..4 {
                 for k in [1, 2, 4, 9] {
-                    let exact = idx.topk(node, k, None).unwrap();
+                    let exact = exact(&idx, node, k, None);
                     for mode in [EngineMode::Exact, EngineMode::Ann, EngineMode::Auto] {
-                        let (hits, _) = idx.topk_with_opts(node, k, None, mode, smode).unwrap();
+                        let (hits, _) = one(&idx, node, k, None, idx.plan(mode, smode)).unwrap();
                         assert_hits_bitwise(&hits, &exact);
-                        // The other panel encoding degrades to f64 —
-                        // results must still match bit for bit.
-                        let other = match smode {
-                            QuantMode::Int8 => QuantMode::F16,
-                            _ => QuantMode::Int8,
-                        };
-                        let (hits, _) = idx.topk_with_opts(node, k, None, mode, other).unwrap();
+                        // Results must still match bit for bit.
+                        let (hits, _) = one(&idx, node, k, None, idx.plan(mode, other)).unwrap();
                         assert_hits_bitwise(&hits, &exact);
                     }
                 }
             }
-            // Batched and gathered quantized paths match per-query results.
-            let nodes = [3, 0, 2, 2];
-            let batch = idx
-                .topk_batch_with_opts(&nodes, 3, None, EngineMode::Exact, smode)
-                .unwrap();
-            for (i, &n) in nodes.iter().enumerate() {
-                assert_hits_bitwise(&batch[i].0, &idx.topk(n, 3, None).unwrap());
-            }
+            // Batched quantized scans match per-query results.
             let queries = [
                 RowQuery { node: 3, k: 1 },
                 RowQuery { node: 0, k: 4 },
                 RowQuery { node: 1, k: 100 },
             ];
             for mode in [EngineMode::Exact, EngineMode::Ann, EngineMode::Auto] {
-                let gathered = idx
-                    .topk_gathered_with_opts(&queries, None, mode, smode)
-                    .unwrap();
+                let plan = idx.plan(mode, smode);
+                let gathered = idx.topk(&queries, None, plan).unwrap();
                 for (i, q) in queries.iter().enumerate() {
-                    let (want, engine) =
-                        idx.topk_with_opts(q.node, q.k, None, mode, smode).unwrap();
+                    let (want, engine) = one(&idx, q.node, q.k, None, plan).unwrap();
                     assert_eq!(gathered[i].1, engine);
                     assert_hits_bitwise(&gathered[i].0, &want);
                 }
@@ -1430,12 +1158,11 @@ mod tests {
         let reloaded = Artifact::from_bytes(&primary.to_bytes()).unwrap();
         let idx = TopkIndex::from_artifact(reloaded);
         assert_eq!(idx.quant_available(), Some(QuantMode::Int8));
+        let plan = idx.plan(EngineMode::Exact, QuantMode::Int8);
+        assert_eq!(plan.quant, QuantMode::Int8);
         for node in 0..4 {
-            let exact = idx.topk(node, 4, None).unwrap();
-            let (hits, _) = idx
-                .topk_with_opts(node, 4, None, EngineMode::Exact, QuantMode::Int8)
-                .unwrap();
-            assert_hits_bitwise(&hits, &exact);
+            let (hits, _) = one(&idx, node, 4, None, plan).unwrap();
+            assert_hits_bitwise(&hits, &exact(&idx, node, 4, None));
         }
     }
 
@@ -1451,10 +1178,13 @@ mod tests {
         assert_eq!(idx.quant_available(), None);
         assert_eq!(idx.quant_resident_bytes(), 0);
         // Quantized requests silently serve the f64 path.
-        let (hits, _) = idx
-            .topk_with_opts(0, 2, None, EngineMode::Exact, QuantMode::Int8)
-            .unwrap();
-        assert_hits_bitwise(&hits, &idx.topk(0, 2, None).unwrap());
+        assert_eq!(idx.plan(EngineMode::Exact, QuantMode::Int8), Plan::EXACT);
+        let plan = Plan {
+            ann: None,
+            quant: QuantMode::Int8,
+        };
+        let (hits, _) = one(&idx, 0, 2, None, plan).unwrap();
+        assert_hits_bitwise(&hits, &exact(&idx, 0, 2, None));
     }
 
     #[test]

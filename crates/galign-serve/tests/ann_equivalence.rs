@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use galign_matrix::check::{cases, DEFAULT_CASES};
 use galign_serve::artifact::{Artifact, Mat};
-use galign_serve::topk::{Backend, EngineMode, TopkIndex};
+use galign_serve::topk::{Backend, EngineMode, Plan, QuantMode, RowQuery, TopkIndex};
 
 /// xorshift64* — deterministic fixtures without external RNG deps.
 struct Rng(u64);
@@ -119,14 +119,23 @@ fn prop_ann_hits_score_bit_identical_to_exact() {
 
         for node in [0, n / 2, n - 1] {
             // The full exact ranking: one canonical score per target.
-            let exact_all = index.topk(node, n, Some(&theta)).expect("exact query");
+            let exact_all = index
+                .topk(&[RowQuery { node, k: n }], Some(&theta), Plan::EXACT)
+                .expect("exact query")
+                .remove(0)
+                .0;
             let canonical: HashMap<usize, u64> = exact_all
                 .iter()
                 .map(|h| (h.target, h.score.to_bits()))
                 .collect();
             let (ann, _used) = index
-                .topk_with_mode(node, k, Some(&theta), EngineMode::Ann)
-                .expect("ann query");
+                .topk(
+                    &[RowQuery { node, k }],
+                    Some(&theta),
+                    index.plan(EngineMode::Ann, QuantMode::Off),
+                )
+                .expect("ann query")
+                .remove(0);
             assert!(ann.len() <= k);
             for h in &ann {
                 // Bit-identical, not approximately equal: the ANN path
@@ -188,10 +197,19 @@ fn recall_at_10_meets_floor_on_seeded_multiorder_embeddings() {
         let mut total = 0usize;
         for q in 0..QUERIES {
             let node = q * (N / QUERIES);
-            let exact = index.topk(node, K, None).expect("exact query");
+            let exact = index
+                .topk(&[RowQuery { node, k: K }], None, Plan::EXACT)
+                .expect("exact query")
+                .remove(0)
+                .0;
             let (ann, _) = index
-                .topk_with_mode(node, K, None, EngineMode::Ann)
-                .expect("ann query");
+                .topk(
+                    &[RowQuery { node, k: K }],
+                    None,
+                    index.plan(EngineMode::Ann, QuantMode::Off),
+                )
+                .expect("ann query")
+                .remove(0);
             let truth: Vec<usize> = exact.iter().map(|h| h.target).collect();
             found += ann.iter().filter(|h| truth.contains(&h.target)).count();
             total += exact.len();

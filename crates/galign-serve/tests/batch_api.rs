@@ -2,10 +2,11 @@
 //! coalescing batch scheduler must be invisible in the bytes. Three
 //! layers of evidence:
 //!
-//! 1. **Kernel**: `topk_gathered_with_mode` over a multi-query batch is
-//!    bit-identical (targets, score bits, engine choice) to the
-//!    single-query path, on random embeddings with deliberate score ties
-//!    and across exact/ANN/auto engines — property-tested with the
+//! 1. **Kernel**: `TopkIndex::topk` over a multi-query batch is
+//!    bit-identical (targets, score bits, engine choice) to the same
+//!    queries as batches of one, on random embeddings with deliberate
+//!    score ties and across exact/ANN/auto engines, including batches
+//!    whose ANN candidate sets overlap — property-tested with the
 //!    crate's deterministic xorshift.
 //! 2. **Wire**: a live server's `/v2` response is byte-for-byte
 //!    `{"results":[...]}` over the exact bodies `/v1` returns for the
@@ -21,9 +22,9 @@
 
 use galign_serve::artifact::{Artifact, Mat};
 use galign_serve::client::{Client, ClientConfig};
-use galign_serve::server::{ServeConfig, Server, ServerHandle};
+use galign_serve::server::{Server, ServerConfig, ServerHandle};
 use galign_serve::testutil::Xorshift;
-use galign_serve::topk::{Backend, EngineMode, RowQuery, TopkIndex};
+use galign_serve::topk::{Backend, EngineMode, EngineUsed, QuantMode, RowQuery, TopkIndex};
 use std::time::Duration;
 
 /// Random target embeddings with duplicated rows, so tied scores (the
@@ -91,28 +92,50 @@ fn gathered_batches_match_single_queries_bitwise() {
                     k: 1 + rng.below(index.target_nodes() + 2),
                 })
                 .collect();
-            let batched = index
-                .topk_gathered_with_mode(&queries, theta.as_deref(), mode)
-                .unwrap();
-            assert_eq!(batched.len(), queries.len());
-            for (q, (hits, used)) in queries.iter().zip(&batched) {
-                let (single, used_single) = index
-                    .topk_with_mode(q.node, q.k, theta.as_deref(), mode)
-                    .unwrap();
-                assert_eq!(
-                    *used, used_single,
-                    "case {case}: engine drifted for node {} k {}",
-                    q.node, q.k
-                );
-                assert_eq!(hits.len(), single.len(), "case {case}");
-                for (b, s) in hits.iter().zip(&single) {
-                    assert_eq!(b.target, s.target, "case {case} node {}", q.node);
-                    assert_eq!(
-                        b.score.to_bits(),
-                        s.score.to_bits(),
-                        "case {case}: score bits drifted at target {}",
-                        b.target
+            // The same queries, each repeated with k spanning every
+            // target: candidate sets overlap, so the ANN re-rank gathers
+            // rows shared across queries.
+            let shared: Vec<RowQuery> = queries
+                .iter()
+                .flat_map(|q| {
+                    [
+                        *q,
+                        RowQuery {
+                            node: q.node,
+                            k: index.target_nodes(),
+                        },
+                    ]
+                })
+                .collect();
+            let plan = index.plan(mode, QuantMode::Off);
+            for (round, queries) in [queries, shared].into_iter().enumerate() {
+                let batched = index.topk(&queries, theta.as_deref(), plan).unwrap();
+                assert_eq!(batched.len(), queries.len());
+                if round == 1 && mode == EngineMode::Ann {
+                    let reranked = batched.iter().filter(|(_, used)| *used == EngineUsed::Ann);
+                    assert!(
+                        reranked.count() >= 2,
+                        "case {case}: the shared batch must reach the union re-rank"
                     );
+                }
+                for (q, (hits, used)) in queries.iter().zip(&batched) {
+                    let (single, used_single) =
+                        index.topk(&[*q], theta.as_deref(), plan).unwrap().remove(0);
+                    assert_eq!(
+                        *used, used_single,
+                        "case {case}: engine drifted for node {} k {}",
+                        q.node, q.k
+                    );
+                    assert_eq!(hits.len(), single.len(), "case {case}");
+                    for (b, s) in hits.iter().zip(&single) {
+                        assert_eq!(b.target, s.target, "case {case} node {}", q.node);
+                        assert_eq!(
+                            b.score.to_bits(),
+                            s.score.to_bits(),
+                            "case {case}: score bits drifted at target {}",
+                            b.target
+                        );
+                    }
                 }
             }
         }
@@ -153,7 +176,7 @@ fn demo_index() -> TopkIndex {
     index
 }
 
-fn start(cfg: ServeConfig) -> ServerHandle {
+fn start(cfg: ServerConfig) -> ServerHandle {
     Server::bind("127.0.0.1:0", demo_index(), cfg)
         .expect("bind ephemeral port")
         .spawn()
@@ -172,7 +195,7 @@ fn plain_client(addr: &str) -> Client {
 
 #[test]
 fn v2_over_http_is_byte_concatenation_of_v1_bodies() {
-    let handle = start(ServeConfig::default());
+    let handle = start(ServerConfig::default());
     let addr = handle.addr().to_string();
     let client = plain_client(&addr);
 
@@ -213,12 +236,12 @@ fn v2_over_http_is_byte_concatenation_of_v1_bodies() {
 fn coalesced_bursts_answer_with_sequential_bytes() {
     // A wide window plus a concurrent burst makes multi-job flushes all
     // but certain; the assertion is that they are invisible.
-    let handle = start(ServeConfig {
+    let handle = start(ServerConfig {
         workers: 2,
         batch_window: Duration::from_millis(5),
         batch_cap: 64,
         queue_depth: 256,
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     });
     let addr = handle.addr().to_string();
 
@@ -276,12 +299,12 @@ fn window_beyond_deadline_becomes_a_deadline_503() {
     // A lone request sits in the coalescer for the full window; with the
     // window configured past the compute deadline, flush-time deadline
     // enforcement must turn it into a labelled 503, not a late answer.
-    let handle = start(ServeConfig {
+    let handle = start(ServerConfig {
         workers: 1,
         batch_window: Duration::from_millis(150),
         deadline: Duration::from_millis(30),
         retry_after_secs: 2,
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     });
     let addr = handle.addr().to_string();
     let client = plain_client(&addr);

@@ -9,7 +9,7 @@
 //! separate even when node/k/θ coincide).
 
 use galign_serve::cache::{CachedHits, QueryKey, ShardedCache};
-use galign_serve::topk::Hit;
+use galign_serve::topk::{Backend, Hit, Plan, QuantMode};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -38,10 +38,14 @@ fn make_key(node: usize, ann: bool) -> (QueryKey, CachedHits) {
     // A third of the keyspace carries a θ override; bit-exact θ equality
     // is part of key identity.
     let theta = [0.5, 0.25 + node as f64 / KEYSPACE as f64];
+    let plan = Plan {
+        ann: ann.then_some(Backend::Hnsw),
+        quant: QuantMode::Off,
+    };
     let key = if node.is_multiple_of(3) {
-        QueryKey::with_engine(node, k, Some(&theta), ann)
+        QueryKey::new(node, k, Some(&theta), plan, 0)
     } else {
-        QueryKey::with_engine(node, k, None, ann)
+        QueryKey::new(node, k, None, plan, 0)
     };
     (key, canonical(node, k, ann))
 }

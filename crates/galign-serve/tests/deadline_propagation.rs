@@ -10,13 +10,13 @@
 
 use galign_serve::artifact::{Artifact, Mat};
 use galign_serve::client::{Client, ClientConfig};
-use galign_serve::server::{ServeConfig, Server, ServerHandle, DEADLINE_HEADER};
+use galign_serve::server::{Server, ServerConfig, ServerHandle, DEADLINE_HEADER};
 use galign_serve::topk::TopkIndex;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-fn test_server(cfg: ServeConfig) -> ServerHandle {
+fn test_server(cfg: ServerConfig) -> ServerHandle {
     let m = Mat::new(4, 2, vec![1.0, 0.0, 0.0, 1.0, 0.7, 0.7, 0.5, 0.5]).unwrap();
     let index = TopkIndex::from_artifact(
         Artifact::new(vec![1.0], vec![m.clone()], vec![m], false).unwrap(),
@@ -52,9 +52,9 @@ fn raw_request(addr: SocketAddr, extra_header: Option<&str>) -> (u16, String) {
 
 #[test]
 fn zero_advertised_budget_is_shed_at_flush_time() {
-    let handle = test_server(ServeConfig {
+    let handle = test_server(ServerConfig {
         retry_after_secs: 2,
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     });
     let (status, text) = raw_request(handle.addr(), Some("x-galign-deadline-ms: 0"));
     assert_eq!(status, 503, "{text}");
@@ -68,7 +68,7 @@ fn zero_advertised_budget_is_shed_at_flush_time() {
 
 #[test]
 fn generous_or_absent_budget_serves_normally() {
-    let handle = test_server(ServeConfig::default());
+    let handle = test_server(ServerConfig::default());
     let (status, text) = raw_request(handle.addr(), Some("x-galign-deadline-ms: 60000"));
     assert_eq!(status, 200, "{text}");
     let (status, text) = raw_request(handle.addr(), None);

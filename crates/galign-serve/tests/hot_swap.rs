@@ -5,7 +5,7 @@
 //! which, and the body must be that generation's answer, never a blend).
 
 use galign_serve::artifact::{Artifact, Mat};
-use galign_serve::server::{ServeConfig, Server, ServerHandle, GENERATION_HEADER};
+use galign_serve::server::{Server, ServerConfig, ServerHandle, GENERATION_HEADER};
 use galign_serve::topk::TopkIndex;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -86,9 +86,9 @@ fn expected_body(a: &Artifact) -> String {
     let single = Server::bind(
         "127.0.0.1:0",
         TopkIndex::from_artifact(a.clone()),
-        ServeConfig {
+        ServerConfig {
             workers: 1,
-            ..ServeConfig::default()
+            ..ServerConfig::default()
         },
     )
     .expect("bind reference node")
@@ -103,11 +103,11 @@ fn start_watching_server(a: &Artifact, pointer: &Path) -> ServerHandle {
     Server::bind(
         "127.0.0.1:0",
         TopkIndex::from_artifact(a.clone()),
-        ServeConfig {
+        ServerConfig {
             workers: 3,
             generation_pointer: Some(pointer.to_path_buf()),
             generation_poll: Duration::from_millis(20),
-            ..ServeConfig::default()
+            ..ServerConfig::default()
         },
     )
     .expect("bind watching server")
@@ -220,9 +220,9 @@ fn admin_swap_over_http_installs_the_next_generation() {
     let handle = Server::bind(
         "127.0.0.1:0",
         TopkIndex::from_artifact(a.clone()),
-        ServeConfig {
+        ServerConfig {
             workers: 1,
-            ..ServeConfig::default()
+            ..ServerConfig::default()
         },
     )
     .expect("bind")

@@ -4,8 +4,8 @@
 
 use galign_serve::artifact::{Artifact, Mat};
 use galign_serve::json::{self, Json};
-use galign_serve::server::{ServeConfig, Server, ServerHandle};
-use galign_serve::topk::TopkIndex;
+use galign_serve::server::{Server, ServerConfig, ServerHandle};
+use galign_serve::topk::{Plan, RowQuery, TopkIndex};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -46,10 +46,10 @@ fn demo_index() -> TopkIndex {
 }
 
 fn start_server() -> ServerHandle {
-    let cfg = ServeConfig {
+    let cfg = ServerConfig {
         workers: 3,
         request_timeout: Duration::from_secs(5),
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     };
     Server::bind("127.0.0.1:0", demo_index(), cfg)
         .expect("bind ephemeral port")
@@ -112,7 +112,10 @@ fn full_server_lifecycle_over_tcp() {
     for (node, entry) in results.iter().enumerate() {
         assert_eq!(entry.get("node").unwrap().as_usize(), Some(node));
         let matches = entry.get("matches").unwrap().as_arr().unwrap();
-        let expected = index.topk(node, 2, None).unwrap();
+        let (expected, _) = index
+            .topk(&[RowQuery { node, k: 2 }], None, Plan::EXACT)
+            .unwrap()
+            .remove(0);
         assert_eq!(matches.len(), expected.len());
         for (m, e) in matches.iter().zip(&expected) {
             assert_eq!(m.get("target").unwrap().as_usize(), Some(e.target));

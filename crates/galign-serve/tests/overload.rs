@@ -9,12 +9,12 @@
 
 use galign_serve::artifact::{Artifact, Mat};
 use galign_serve::client::{Client, ClientConfig};
-use galign_serve::server::{ServeConfig, Server, ServerHandle};
+use galign_serve::server::{Server, ServerConfig, ServerHandle};
 use galign_serve::topk::TopkIndex;
 use galign_telemetry::failpoint;
 use std::time::Duration;
 
-fn test_server(cfg: ServeConfig) -> ServerHandle {
+fn test_server(cfg: ServerConfig) -> ServerHandle {
     let m = Mat::new(4, 2, vec![1.0, 0.0, 0.0, 1.0, 0.7, 0.7, 0.5, 0.5]).unwrap();
     let index = TopkIndex::from_artifact(
         Artifact::new(vec![1.0], vec![m.clone()], vec![m], false).unwrap(),
@@ -42,11 +42,11 @@ fn saturated_queue_sheds_503_with_retry_after() {
     let _scenario = failpoint::Scenario::setup();
     failpoint::cfg("serve.topk.stall", "delay(300)").unwrap();
 
-    let handle = test_server(ServeConfig {
+    let handle = test_server(ServerConfig {
         workers: 1,
         queue_depth: 1,
         retry_after_secs: 7,
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     });
     let addr = handle.addr().to_string();
 
@@ -106,13 +106,13 @@ fn retrying_client_recovers_every_request_through_shedding() {
     let _scenario = failpoint::Scenario::setup();
     failpoint::cfg("serve.topk.stall", "delay(50)").unwrap();
 
-    let handle = test_server(ServeConfig {
+    let handle = test_server(ServerConfig {
         workers: 1,
         queue_depth: 1,
         // 0 makes the client fall back to its own (fast) backoff, keeping
         // the test quick while still exercising the retry loop.
         retry_after_secs: 0,
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     });
     let addr = handle.addr().to_string();
 
@@ -157,10 +157,10 @@ fn stalled_handler_hits_the_deadline_and_returns_503() {
     let _scenario = failpoint::Scenario::setup();
     failpoint::cfg("serve.topk.stall", "delay(250)").unwrap();
 
-    let handle = test_server(ServeConfig {
+    let handle = test_server(ServerConfig {
         deadline: Duration::from_millis(50),
         retry_after_secs: 3,
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     });
     let client = one_shot_client(&handle.addr().to_string());
     let resp = client
@@ -181,9 +181,9 @@ fn worker_panic_returns_500_per_job_and_does_not_kill_the_worker() {
     let _scenario = failpoint::Scenario::setup();
     failpoint::cfg("serve.topk.stall", "1*panic(simulated flush crash)").unwrap();
 
-    let handle = test_server(ServeConfig {
+    let handle = test_server(ServerConfig {
         workers: 1,
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     });
     let addr = handle.addr().to_string();
 
@@ -211,14 +211,14 @@ fn requests_coalesced_behind_a_stalled_flush_keep_their_deadline() {
     let _scenario = failpoint::Scenario::setup();
     failpoint::cfg("serve.topk.stall", "delay(200)").unwrap();
 
-    let handle = test_server(ServeConfig {
+    let handle = test_server(ServerConfig {
         workers: 1,
         deadline: Duration::from_millis(60),
         retry_after_secs: 4,
         batch_window: Duration::from_micros(200),
         batch_cap: 64,
         queue_depth: 64,
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     });
     let addr = handle.addr().to_string();
 

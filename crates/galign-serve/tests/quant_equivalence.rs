@@ -23,7 +23,7 @@
 use galign_matrix::check::{cases, DEFAULT_CASES};
 use galign_quant::QuantizedPanel;
 use galign_serve::artifact::{Artifact, Mat};
-use galign_serve::topk::{Backend, EngineMode, QuantMode, TopkIndex};
+use galign_serve::topk::{Backend, EngineMode, Plan, QuantMode, RowQuery, TopkIndex};
 use std::collections::HashMap;
 
 /// xorshift64* — deterministic fixtures without external RNG deps.
@@ -206,17 +206,31 @@ fn prop_quantized_results_bit_identical_to_f64() {
         assert_eq!(index.quant_available(), Some(quant));
 
         for node in [0, n / 2, n - 1] {
-            let exact_all = index.topk(node, n, Some(&theta)).expect("exact query");
+            let exact_all = index
+                .topk(&[RowQuery { node, k: n }], Some(&theta), Plan::EXACT)
+                .expect("exact query")
+                .remove(0)
+                .0;
             let canonical: HashMap<usize, u64> = exact_all
                 .iter()
                 .map(|h| (h.target, h.score.to_bits()))
                 .collect();
             let (plain, _) = index
-                .topk_with_opts(node, k, Some(&theta), engine, QuantMode::Off)
-                .expect("f64 query");
+                .topk(
+                    &[RowQuery { node, k }],
+                    Some(&theta),
+                    index.plan(engine, QuantMode::Off),
+                )
+                .expect("f64 query")
+                .remove(0);
             let (quantized, _) = index
-                .topk_with_opts(node, k, Some(&theta), engine, quant)
-                .expect("quantized query");
+                .topk(
+                    &[RowQuery { node, k }],
+                    Some(&theta),
+                    index.plan(engine, quant),
+                )
+                .expect("quantized query")
+                .remove(0);
             assert!(quantized.len() <= k.min(n));
             if engine == EngineMode::Exact {
                 // The certified shortlist makes the quantized exact scan
@@ -285,10 +299,19 @@ fn recall_at_10_meets_floor_under_quantized_traversal() {
             let mut total = 0usize;
             for q in 0..QUERIES {
                 let node = q * (N / QUERIES);
-                let exact = index.topk(node, K, None).expect("exact query");
+                let exact = index
+                    .topk(&[RowQuery { node, k: K }], None, Plan::EXACT)
+                    .expect("exact query")
+                    .remove(0)
+                    .0;
                 let (ann, _) = index
-                    .topk_with_opts(node, K, None, EngineMode::Ann, quant)
-                    .expect("quantized ann query");
+                    .topk(
+                        &[RowQuery { node, k: K }],
+                        None,
+                        index.plan(EngineMode::Ann, quant),
+                    )
+                    .expect("quantized ann query")
+                    .remove(0);
                 let truth: Vec<usize> = exact.iter().map(|h| h.target).collect();
                 found += ann.iter().filter(|h| truth.contains(&h.target)).count();
                 total += exact.len();

@@ -14,13 +14,13 @@
 //!   responses.
 
 use galign_serve::artifact::{Artifact, Mat};
-use galign_serve::server::{ServeConfig, Server, ServerHandle};
+use galign_serve::server::{Server, ServerConfig, ServerHandle};
 use galign_serve::topk::TopkIndex;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-fn start(cfg: ServeConfig) -> ServerHandle {
+fn start(cfg: ServerConfig) -> ServerHandle {
     let m = Mat::new(4, 2, vec![1.0, 0.0, 0.0, 1.0, 0.7, 0.7, 0.5, 0.5]).unwrap();
     let index = TopkIndex::from_artifact(
         Artifact::new(vec![1.0], vec![m.clone()], vec![m], false).unwrap(),
@@ -101,7 +101,7 @@ fn reference_body(addr: SocketAddr) -> String {
 
 #[test]
 fn dribbled_request_is_answered_like_a_fast_one() {
-    let handle = start(ServeConfig::default());
+    let handle = start(ServerConfig::default());
     let addr = handle.addr();
     let expected = reference_body(addr);
 
@@ -120,7 +120,7 @@ fn dribbled_request_is_answered_like_a_fast_one() {
 
 #[test]
 fn half_open_client_still_gets_its_response() {
-    let handle = start(ServeConfig::default());
+    let handle = start(ServerConfig::default());
     let addr = handle.addr();
     let expected = reference_body(addr);
 
@@ -140,10 +140,10 @@ fn half_open_client_still_gets_its_response() {
 fn stalled_connection_does_not_block_fast_clients() {
     // One compute worker: under the old thread-per-connection design a
     // stalled socket could pin the pool; the event loop must not care.
-    let handle = start(ServeConfig {
+    let handle = start(ServerConfig {
         workers: 1,
         request_timeout: Duration::from_secs(5),
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     });
     let addr = handle.addr();
 
@@ -171,9 +171,9 @@ fn stalled_connection_does_not_block_fast_clients() {
 
 #[test]
 fn stalled_first_request_times_out_with_408() {
-    let handle = start(ServeConfig {
+    let handle = start(ServerConfig {
         request_timeout: Duration::from_millis(200),
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     });
     let addr = handle.addr();
 
@@ -190,9 +190,9 @@ fn stalled_first_request_times_out_with_408() {
 
 #[test]
 fn slow_loris_trickle_cannot_extend_the_request_deadline() {
-    let handle = start(ServeConfig {
+    let handle = start(ServerConfig {
         request_timeout: Duration::from_millis(250),
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     });
     let addr = handle.addr();
 
@@ -226,7 +226,7 @@ fn slow_loris_trickle_cannot_extend_the_request_deadline() {
 
 #[test]
 fn blank_line_flood_is_rejected_not_buffered_forever() {
-    let handle = start(ServeConfig::default());
+    let handle = start(ServerConfig::default());
     let addr = handle.addr();
 
     let mut stream = connect(addr);
@@ -243,7 +243,7 @@ fn blank_line_flood_is_rejected_not_buffered_forever() {
 
 #[test]
 fn pipelined_requests_are_answered_in_order() {
-    let handle = start(ServeConfig::default());
+    let handle = start(ServerConfig::default());
     let addr = handle.addr();
     let expected = reference_body(addr);
 

@@ -1,12 +1,12 @@
 //! Property-style check of the heap-based top-k kernel: on random
 //! embeddings, the bounded-heap selection must equal a full argsort for
-//! every k in {1, 5, n}, for random θ weightings, and batches must agree
-//! with single queries. Uses the crate's own deterministic xorshift so
-//! the test stays dependency-free.
+//! every k in {1, 5, n}, for random θ weightings, and the artifact θ is
+//! the default. Uses the crate's own deterministic xorshift so the test
+//! stays dependency-free.
 
 use galign_serve::artifact::{Artifact, Mat};
 use galign_serve::testutil::Xorshift;
-use galign_serve::topk::{select_topk, select_topk_bruteforce, TopkIndex};
+use galign_serve::topk::{select_topk, select_topk_bruteforce, Hit, Plan, RowQuery, TopkIndex};
 
 fn random_mat(rng: &mut Xorshift, rows: usize, cols: usize) -> Mat {
     Mat::new(
@@ -32,6 +32,15 @@ fn random_index(rng: &mut Xorshift) -> TopkIndex {
     TopkIndex::from_artifact(Artifact::new(theta, source, target, false).unwrap())
 }
 
+/// One exact query (a batch of one).
+fn exact(index: &TopkIndex, node: usize, k: usize, theta: Option<&[f64]>) -> Vec<Hit> {
+    index
+        .topk(&[RowQuery { node, k }], theta, Plan::EXACT)
+        .unwrap()
+        .remove(0)
+        .0
+}
+
 /// Reference scoring: direct Eq. 11–12 evaluation on normalized rows.
 fn brute_force_row(index: &TopkIndex, node: usize, theta: &[f64]) -> Vec<f64> {
     // Rebuild normalization independently of the index internals is not
@@ -40,7 +49,7 @@ fn brute_force_row(index: &TopkIndex, node: usize, theta: &[f64]) -> Vec<f64> {
     // brute-force twin below.
     let n = index.target_nodes();
     let mut scores = vec![0.0; n];
-    for hit in index.topk(node, n, Some(theta)).unwrap() {
+    for hit in exact(index, node, n, Some(theta)) {
         scores[hit.target] = hit.score;
     }
     scores
@@ -56,7 +65,7 @@ fn heap_topk_equals_bruteforce_argsort() {
         let node = rng.below(index.source_nodes());
         let scores = brute_force_row(&index, node, &theta);
         for k in [1usize, 5, n_t] {
-            let fast = index.topk(node, k, Some(&theta)).unwrap();
+            let fast = exact(&index, node, k, Some(&theta));
             let slow = select_topk_bruteforce(&scores, k);
             assert_eq!(
                 fast.len(),
@@ -90,27 +99,13 @@ fn select_topk_matches_bruteforce_on_raw_score_vectors() {
 }
 
 #[test]
-fn batch_equals_singles_under_default_theta() {
-    let mut rng = Xorshift::new(0xBA7C);
-    for _ in 0..10 {
-        let index = random_index(&mut rng);
-        let nodes: Vec<usize> = (0..20).map(|_| rng.below(index.source_nodes())).collect();
-        let k = 1 + rng.below(6);
-        let batch = index.topk_batch(&nodes, k, None).unwrap();
-        for (i, &node) in nodes.iter().enumerate() {
-            assert_eq!(batch[i], index.topk(node, k, None).unwrap());
-        }
-    }
-}
-
-#[test]
 fn default_theta_is_the_artifact_theta() {
     let mut rng = Xorshift::new(0x7E7A);
     let index = random_index(&mut rng);
     let theta = index.default_theta().to_vec();
     let node = 0;
     assert_eq!(
-        index.topk(node, 3, None).unwrap(),
-        index.topk(node, 3, Some(&theta)).unwrap()
+        exact(&index, node, 3, None),
+        exact(&index, node, 3, Some(&theta))
     );
 }

@@ -12,7 +12,7 @@
 
 use galign_serve::artifact::{Artifact, Mat};
 use galign_serve::client::{Client, ClientConfig};
-use galign_serve::server::{ServeConfig, Server, ServerHandle, TRACE_HEADER};
+use galign_serve::server::{Server, ServerConfig, ServerHandle, TRACE_HEADER};
 use galign_serve::topk::TopkIndex;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -41,7 +41,7 @@ fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("galign-trace-{}-{name}", std::process::id()))
 }
 
-fn start_server(cfg: ServeConfig) -> ServerHandle {
+fn start_server(cfg: ServerConfig) -> ServerHandle {
     Server::bind("127.0.0.1:0", demo_index(), cfg)
         .expect("bind ephemeral port")
         .spawn()
@@ -69,10 +69,10 @@ fn trace_id_recoverable_from_all_four_surfaces() {
     let span_log = temp_path("spans.jsonl");
     let flight_dump = temp_path("flight.jsonl");
     galign_telemetry::attach_jsonl_path(&span_log).expect("attach span sink");
-    let handle = start_server(ServeConfig {
+    let handle = start_server(ServerConfig {
         access_log: Some(access_log.clone()),
         flight_dump: Some(flight_dump.clone()),
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     });
     let client = Client::new(&handle.addr().to_string()).unwrap();
 
@@ -138,7 +138,7 @@ fn trace_id_recoverable_from_all_four_surfaces() {
 #[test]
 fn server_assigns_id_when_client_sends_none() {
     let _lock = SCENARIO.lock().unwrap_or_else(|p| p.into_inner());
-    let handle = start_server(ServeConfig::default());
+    let handle = start_server(ServerConfig::default());
     let client = Client::with_config(
         &handle.addr().to_string(),
         ClientConfig {
@@ -165,9 +165,9 @@ fn server_assigns_id_when_client_sends_none() {
 fn retry_after_shed_preserves_trace_id() {
     let _lock = SCENARIO.lock().unwrap_or_else(|p| p.into_inner());
     let _fp = galign_telemetry::failpoint::Scenario::setup();
-    let handle = start_server(ServeConfig {
+    let handle = start_server(ServerConfig {
         deadline: Duration::from_millis(60),
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     });
     // First evaluation stalls past the deadline (-> 503 + Retry-After);
     // the retry finds the failpoint consumed and succeeds.

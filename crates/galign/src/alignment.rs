@@ -5,14 +5,13 @@
 //! [`ScoreProvider`] over the shared streaming engine in
 //! [`galign_matrix::simblock`]; consumers reduce it block-at-a-time in
 //! `O(block · n)` memory, matching the §VI-C space analysis. The full
-//! `n₁×n₂` matrix is only materialised through the deprecated
-//! [`AlignmentMatrix::materialize`] escape hatch.
+//! `n₁×n₂` matrix is only materialised on request, through
+//! [`galign_matrix::simblock::materialize`].
 
 use crate::error::{GAlignError, Result};
 use galign_gcn::MultiOrderEmbedding;
 use galign_matrix::dense::dot;
 use galign_matrix::simblock::{self, ScoreProvider, SimPanel};
-use galign_matrix::Dense;
 use std::ops::Range;
 
 /// Which layers participate in the alignment matrix and with what weight.
@@ -122,16 +121,6 @@ impl AlignmentMatrix {
         (0..t.rows()).map(|u| dot(sv, t.row(u))).collect()
     }
 
-    /// Materialises the aggregated matrix — `O(n₁ n₂)` memory.
-    #[deprecated(
-        since = "0.1.0",
-        note = "materialising S is O(n²) memory; reduce block-at-a-time via \
-                `galign_matrix::simblock` (`top1`, `topk`, `map_blocks`) instead"
-    )]
-    pub fn materialize(&self) -> Dense {
-        simblock::materialize(self)
-    }
-
     /// Greedy top-1 anchors: for each source node the best-scoring target
     /// (the paper's one-to-one instantiation rule, §VI-A), computed by the
     /// blocked engine without materialising `S`.
@@ -173,6 +162,7 @@ impl ScoreProvider for AlignmentMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use galign_matrix::Dense;
 
     fn emb(rows: &[&[f64]]) -> MultiOrderEmbedding {
         let m = Dense::from_rows(&rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>()).unwrap();
@@ -196,8 +186,7 @@ mod tests {
         let anchors = a.top1_anchors();
         assert_eq!(anchors, vec![(0, 0), (1, 1), (2, 2)]);
         // Diagonal of the materialised matrix is 1 (cosine of identical rows).
-        #[allow(deprecated)]
-        let m = a.materialize();
+        let m = simblock::materialize(&a);
         for i in 0..3 {
             assert!((m.get(i, i) - 1.0).abs() < 1e-12);
         }
@@ -208,8 +197,7 @@ mod tests {
         let s = emb(&[&[1.0, 2.0], &[3.0, -1.0]]);
         let t = emb(&[&[0.5, 0.5], &[-1.0, 2.0], &[2.0, 0.1]]);
         let a = AlignmentMatrix::new(&s, &t, LayerSelection::weighted(vec![0.3, 0.7])).unwrap();
-        #[allow(deprecated)]
-        let m = a.materialize();
+        let m = simblock::materialize(&a);
         for v in 0..2 {
             let row = a.score_row(v);
             for u in 0..3 {

@@ -205,7 +205,7 @@ pub fn migrate_embeddings_json(
 mod tests {
     use super::*;
     use galign_matrix::rng::SeededRng;
-    use galign_serve::topk::{EngineMode, QuantMode as ServeQuant, TopkIndex};
+    use galign_serve::topk::{EngineMode, Plan, QuantMode as ServeQuant, RowQuery, TopkIndex};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("galign-artifact-test");
@@ -253,7 +253,10 @@ mod tests {
                 .unwrap();
         let index = TopkIndex::from_artifact(artifact_from_alignment(&alignment).unwrap());
         for (v, expected) in alignment.top1_anchors() {
-            let hits = index.topk(v, 1, None).unwrap();
+            let (hits, _) = index
+                .topk(&[RowQuery { node: v, k: 1 }], None, Plan::EXACT)
+                .unwrap()
+                .remove(0);
             assert_eq!(hits[0].target, expected, "node {v}");
         }
     }
@@ -290,13 +293,12 @@ mod tests {
 
         // Served responses ignore the request's quant knob bit-for-bit.
         let index = TopkIndex::from_artifact(Artifact::read(&q).unwrap());
+        let int8_plan = index.plan(EngineMode::Exact, ServeQuant::Int8);
+        assert_eq!(int8_plan.quant, ServeQuant::Int8);
         for node in [0, 17, 39] {
-            let (off, _) = index
-                .topk_with_opts(node, 5, None, EngineMode::Exact, ServeQuant::Off)
-                .unwrap();
-            let (int8, _) = index
-                .topk_with_opts(node, 5, None, EngineMode::Exact, ServeQuant::Int8)
-                .unwrap();
+            let query = [RowQuery { node, k: 5 }];
+            let (off, _) = index.topk(&query, None, Plan::EXACT).unwrap().remove(0);
+            let (int8, _) = index.topk(&query, None, int8_plan).unwrap().remove(0);
             assert_eq!(off.len(), int8.len());
             for (a, b) in off.iter().zip(&int8) {
                 assert_eq!(a.target, b.target, "node {node}");

@@ -10,7 +10,7 @@ use galign_graph::{generators, AttributedGraph};
 use galign_matrix::rng::SeededRng;
 use galign_serve::artifact::Artifact;
 use galign_serve::json;
-use galign_serve::server::{ServeConfig, Server};
+use galign_serve::server::{Server, ServerConfig};
 use galign_serve::topk::TopkIndex;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -73,9 +73,9 @@ fn pipeline_to_served_queries_end_to_end() {
 
     // 3. Serve the reloaded artifact over a real TCP socket and compare
     //    every top-1 answer with the pipeline's own anchors.
-    let cfg = ServeConfig {
+    let cfg = ServerConfig {
         workers: 2,
-        ..ServeConfig::default()
+        ..ServerConfig::default()
     };
     let handle = Server::bind("127.0.0.1:0", TopkIndex::from_artifact(reloaded), cfg)
         .expect("bind ephemeral port")

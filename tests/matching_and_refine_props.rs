@@ -8,6 +8,7 @@ use galign_suite::gcn::{train_multi_order, GcnModel, TrainConfig};
 use galign_suite::graph::{generators, AttributedGraph};
 use galign_suite::matrix::check::cases;
 use galign_suite::matrix::rng::SeededRng;
+use galign_suite::matrix::simblock;
 use galign_suite::matrix::Dense;
 use galign_suite::metrics::DenseScores;
 
@@ -158,8 +159,7 @@ fn self_alignment_diagonal_dominates_with_random_weights() {
     let model = GcnModel::new(&mut rng, 8, &[6, 6]);
     let emb = model.forward(&g);
     let am = AlignmentMatrix::new(&emb, &emb, LayerSelection::uniform(3)).unwrap();
-    #[allow(deprecated)]
-    let m: Dense = am.materialize();
+    let m: Dense = simblock::materialize(&am);
     for v in 0..20 {
         let (arg, _) = m.row_argmax(v).unwrap();
         assert_eq!(arg, v, "node {v} should match itself");

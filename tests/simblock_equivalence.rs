@@ -77,7 +77,7 @@ fn blocked_topk_is_bit_identical_to_materialized() {
 fn served_topk_matches_independent_reference() {
     use galign_suite::serve::artifact::{Artifact, Mat};
     use galign_suite::serve::json;
-    use galign_suite::serve::server::{ServeConfig, Server};
+    use galign_suite::serve::server::{Server, ServerConfig};
     use galign_suite::serve::topk::TopkIndex;
     use std::io::{Read, Write};
 
@@ -113,9 +113,9 @@ fn served_topk_matches_independent_reference() {
     let handle = Server::bind(
         "127.0.0.1:0",
         TopkIndex::from_artifact(artifact),
-        ServeConfig {
+        ServerConfig {
             workers: 2,
-            ..ServeConfig::default()
+            ..ServerConfig::default()
         },
     )
     .expect("bind ephemeral port")
